@@ -45,12 +45,7 @@ void BatchRequest::AddDelete(Slice key) {
 }
 
 void BatchRequest::AddScan(Slice start, Slice end, uint64_t limit) {
-  RequestUnion r;
-  r.type = RequestType::kScan;
-  r.key = start.ToString();
-  r.end_key = end.ToString();
-  r.limit = limit;
-  requests.push_back(std::move(r));
+  AddScanWithPushdown(start, end, limit, Slice());
 }
 
 void BatchRequest::AddScanWithPushdown(Slice start, Slice end, uint64_t limit,

@@ -9,6 +9,29 @@ namespace veloce::kv {
 
 namespace {
 constexpr int kMaxConflictRetries = 16;
+
+/// Engine-key bounds [intent slot of start, encoded end) of a range's span.
+std::pair<std::string, std::string> EngineSpan(const RangeDescriptor& desc) {
+  std::string end;
+  if (!desc.end_key.empty()) OrderedPutString(&end, desc.end_key);
+  return {EncodeIntentKey(desc.start_key), std::move(end)};
+}
+
+/// Deletes every engine key of the range's span from `engine`, in ~1MB
+/// batches.
+Status ClearSpan(storage::Engine* engine, const RangeDescriptor& desc) {
+  const auto [start, end] = EngineSpan(desc);
+  auto it = engine->NewBoundedIterator(start, end);
+  storage::WriteBatch del;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    del.Delete(it->key());
+    if (del.ByteSize() > (1 << 20)) {
+      VELOCE_RETURN_IF_ERROR(engine->Write(del));
+      del.Clear();
+    }
+  }
+  return del.Count() > 0 ? engine->Write(del) : Status::OK();
+}
 }  // namespace
 
 KVCluster::KVCluster(KVClusterOptions options)
@@ -78,7 +101,7 @@ KVCluster::KVCluster(KVClusterOptions options)
       metrics_->counter("veloce_txn_oracle_refills_total", {{"mode", "async"}});
   oracle_ = std::make_unique<TimestampOracle>(&hlc_, oracle_opts);
   lease_gauge_cb_ = metrics_->AddCollectCallback([this] {
-    std::lock_guard<std::recursive_mutex> l(mu_);
+    std::shared_lock<std::shared_mutex> dir(dir_mu_);
     std::vector<double> counts(nodes_.size(), 0);
     // Load is sampled in aggregate (total/max QPS, cooled count) rather
     // than per range: at 100k ranges a per-range series would swamp the
@@ -87,6 +110,7 @@ KVCluster::KVCluster(KVClusterOptions options)
     double qps_total = 0, qps_max = 0, cooled = 0;
     for (const auto& [rid, state] : ranges_) {
       counts[state->desc.leaseholder] += 1;
+      Latch latch(state->latch);
       const double qps = state->load.Qps(now);
       qps_total += qps;
       if (qps > qps_max) qps_max = qps;
@@ -120,7 +144,6 @@ KVCluster::KVCluster(KVClusterOptions options)
     desc.replicas.push_back(static_cast<NodeId>(i));
   }
   desc.leaseholder = 0;
-  std::lock_guard<std::recursive_mutex> l(mu_);
   VELOCE_CHECK_OK(AddRangeLocked(desc));
 }
 
@@ -138,9 +161,15 @@ KVCluster::RangeState* KVCluster::LookupRangeLocked(Slice key) {
   auto it = by_start_.upper_bound(key.ToString());
   if (it == by_start_.begin()) return nullptr;
   --it;
-  RangeState* range = ranges_[it->second].get();
+  RangeState* range = ranges_.at(it->second).get();
   if (!range->desc.Contains(key)) return nullptr;
   return range;
+}
+
+StatusOr<KVCluster::RangeState*> KVCluster::FindRangeLocked(RangeId id) {
+  auto it = ranges_.find(id);
+  if (it == ranges_.end()) return Status::NotFound("no such range");
+  return it->second.get();
 }
 
 StatusOr<KVCluster::RangeState*> KVCluster::ResolveRangeLocked(
@@ -167,7 +196,7 @@ StatusOr<KVCluster::RangeState*> KVCluster::ResolveRangeLocked(
 }
 
 StatusOr<RangeDescriptor> KVCluster::LookupRange(Slice key) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   auto* self = const_cast<KVCluster*>(this);
   RangeState* range = self->LookupRangeLocked(key);
   if (range == nullptr) return Status::NotFound("no range for key");
@@ -222,7 +251,7 @@ StatusOr<NodeId> KVCluster::PickReadNodeLocked(const RangeState& range,
 }
 
 StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   if (req.commit_txn) return ExecuteOnePhaseLocked(req);
   BatchResponse resp;
   const bool read_only = req.IsReadOnly();
@@ -236,9 +265,8 @@ StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
     const RequestUnion& r = req.requests[i];
     VELOCE_ASSIGN_OR_RETURN(RangeState * range, ResolveRangeLocked(req, r.key));
     VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, r.key, r.end_key));
-    range->load.Record(load_now, r.key, 1.0,
-                       1.0 + static_cast<double>(r.key.size() + r.value.size()) /
-                                 1024.0);
+    Latch latch(range->latch);
+    range->load.Record(load_now, r.key);
     VELOCE_ASSIGN_OR_RETURN(NodeId serving_node, PickReadNodeLocked(*range, req, r));
     const bool is_write =
         r.type == RequestType::kPut || r.type == RequestType::kDelete;
@@ -256,59 +284,44 @@ StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
       leaseholder->RecordBatch(read_only);
     }
 
-    if (is_write && req.txn_id != 0) {
-      // Pipelined intent batches: gather the contiguous run of this txn's
-      // writes landing on the same range and execute them as one group —
-      // one timestamp, one WriteBatch, one replication round.
-      std::vector<const RequestUnion*> group;
-      group.push_back(&r);
+    if (is_write) {
+      // Pipelined intent batches: a txn's contiguous run of writes landing
+      // on the same range executes as one group. Non-transactional writes
+      // go one at a time, each at its own timestamp.
+      std::vector<const RequestUnion*> group{&r};
       size_t j = i + 1;
-      for (; j < req.requests.size(); ++j) {
+      for (; req.txn_id != 0 && j < req.requests.size(); ++j) {
         const RequestUnion& nxt = req.requests[j];
         const bool nxt_write =
             nxt.type == RequestType::kPut || nxt.type == RequestType::kDelete;
         if (!nxt_write || !range->desc.Contains(nxt.key)) break;
         VELOCE_RETURN_IF_ERROR(CheckTenantBoundsLocked(req, nxt.key, nxt.end_key));
-        range->load.Record(load_now, nxt.key, 1.0,
-                           1.0 + static_cast<double>(nxt.key.size() +
-                                                     nxt.value.size()) /
-                                     1024.0);
+        range->load.Record(load_now, nxt.key);
         group.push_back(&nxt);
       }
       for (const RequestUnion* w : group) {
         leaseholder->RecordWriteRequest(w->key.size() + w->value.size());
       }
       obs::ScopedSpan span(req.trace, "storage_write");
-      VELOCE_RETURN_IF_ERROR(ExecuteTxnWriteGroupLocked(range, req, group, &resp));
-      for (size_t k = 0; k < group.size(); ++k) resp.responses.emplace_back();
+      Timestamp applied;
+      VELOCE_RETURN_IF_ERROR(
+          ExecuteWritesLocked(range, &latch, req, group, &resp, &applied));
+      // Session guarantee for non-transactional writes; a txn's writes
+      // become visible through its commit instead.
+      if (req.txn_id == 0 && applied_write_ts < applied) applied_write_ts = applied;
+      resp.responses.resize(resp.responses.size() + group.size());
       i = j - 1;
       continue;
     }
 
     ResponseUnion out;
-    switch (r.type) {
-      case RequestType::kGet:
-      case RequestType::kScan: {
-        leaseholder->RecordReadRequest();
-        obs::ScopedSpan span(req.trace, "storage_read");
-        VELOCE_RETURN_IF_ERROR(ExecuteReadLocked(range, req, r, &out, serving_node));
-        uint64_t bytes = out.value.size();
-        for (const auto& row : out.rows) {
-          bytes += row.key.size() + row.value.size();
-        }
-        leaseholder->AddReadBytes(bytes);
-        break;
-      }
-      case RequestType::kPut:
-      case RequestType::kDelete: {
-        leaseholder->RecordWriteRequest(r.key.size() + r.value.size());
-        obs::ScopedSpan span(req.trace, "storage_write");
-        Timestamp applied;
-        VELOCE_RETURN_IF_ERROR(ExecuteWriteLocked(range, req, r, &resp, &applied));
-        if (applied_write_ts < applied) applied_write_ts = applied;
-        break;
-      }
-    }
+    leaseholder->RecordReadRequest();
+    obs::ScopedSpan span(req.trace, "storage_read");
+    VELOCE_RETURN_IF_ERROR(
+        ExecuteReadLocked(range, &latch, req, r, &out, serving_node));
+    uint64_t bytes = out.value.size();
+    for (const auto& row : out.rows) bytes += row.key.size() + row.value.size();
+    leaseholder->AddReadBytes(bytes);
     resp.responses.push_back(std::move(out));
   }
   if (!applied_write_ts.IsEmpty()) oracle_->Observe(applied_write_ts);
@@ -316,7 +329,7 @@ StatusOr<BatchResponse> KVCluster::Send(const BatchRequest& req) {
   return resp;
 }
 
-Status KVCluster::HandleConflictLocked(RangeState* range, Slice key,
+Status KVCluster::HandleConflictLocked(RangeState* range, Latch* latch, Slice key,
                                        const IntentMeta& intent,
                                        const BatchRequest& req, bool for_write) {
   intent_conflicts_c_->Inc();
@@ -326,8 +339,12 @@ Status KVCluster::HandleConflictLocked(RangeState* range, Slice key,
   PushResult pr = txn_registry_.Push(intent.txn_id, req.txn_priority, push_type, req.ts);
   if (!pr.pushed && pr.pushee_status == TxnStatus::kStaging) {
     // The owner is mid-parallel-commit (possibly implicitly committed, or
-    // abandoned). Run the recovery procedure to find out.
-    VELOCE_ASSIGN_OR_RETURN(pr, RecoverStagedTxnLocked(intent.txn_id));
+    // abandoned). Run the recovery procedure to find out; it visits the
+    // owner's other ranges, so this range's latch is released meanwhile.
+    latch->unlock();
+    StatusOr<PushResult> recovered = RecoverStagedTxnLocked(intent.txn_id);
+    latch->lock();
+    VELOCE_ASSIGN_OR_RETURN(pr, std::move(recovered));
   }
   if (!pr.pushed) {
     return Status::WriteIntentError("conflicting intent of txn " +
@@ -364,9 +381,36 @@ Status KVCluster::HandleConflictLocked(RangeState* range, Slice key,
                                /*require_quorum=*/false);
 }
 
-Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
-                                    const RequestUnion& r, ResponseUnion* out,
-                                    NodeId serving_node) {
+Status KVCluster::ResolveWriteConflictsLocked(
+    RangeState* range, Latch* latch, storage::Engine* engine, const BatchRequest& req,
+    const std::vector<const RequestUnion*>& writes, bool one_pc) {
+  const size_t max_resolutions = kMaxConflictRetries * writes.size();
+  for (size_t resolved = 0;; ++resolved) {
+    const RequestUnion* blocked = nullptr;
+    std::optional<IntentMeta> intent;
+    for (const RequestUnion* r : writes) {
+      VELOCE_ASSIGN_OR_RETURN(intent, MvccGetIntent(engine, r->key));
+      if (!intent.has_value()) continue;
+      if (intent->txn_id != req.txn_id) {
+        blocked = r;
+        break;
+      }
+      // The txn already flushed intents; 1PC no longer applies and the
+      // client falls back to the general commit path.
+      if (one_pc) return Status::NotSupported("txn holds intents; 1pc unavailable");
+    }
+    if (blocked == nullptr) return Status::OK();
+    if (resolved >= max_resolutions) {
+      return Status::WriteIntentError("too many conflict retries");
+    }
+    VELOCE_RETURN_IF_ERROR(
+        HandleConflictLocked(range, latch, blocked->key, *intent, req, true));
+  }
+}
+
+Status KVCluster::ExecuteReadLocked(RangeState* range, Latch* latch,
+                                    const BatchRequest& req, const RequestUnion& r,
+                                    ResponseUnion* out, NodeId serving_node) {
   const Timestamp read_ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
   const bool follower = serving_node != range->desc.leaseholder;
   storage::Engine* engine = nodes_[serving_node]->engine();
@@ -381,7 +425,7 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
                               MvccGet(engine, r.key, read_ts, req.txn_id));
       if (res.conflict.has_value()) {
         VELOCE_RETURN_IF_ERROR(
-            HandleConflictLocked(range, r.key, *res.conflict, req, false));
+            HandleConflictLocked(range, latch, r.key, *res.conflict, req, false));
         continue;
       }
       // Follower reads are below the closed timestamp; no writer can land
@@ -415,7 +459,8 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
                                             remaining, req.txn_id));
       if (res.conflict.has_value()) {
         VELOCE_RETURN_IF_ERROR(HandleConflictLocked(
-            cur_range, Slice(res.entries.empty() ? cursor : res.entries.back().key),
+            cur_range, latch,
+            Slice(res.entries.empty() ? cursor : res.entries.back().key),
             *res.conflict, req, false));
         continue;
       }
@@ -428,23 +473,13 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
       // Filtering / projection / fragment push-down: evaluate at the KV node
       // so filtered rows, projected-away columns, and (for aggregation
       // fragments) everything but partial states never cross the boundary.
-      // The batch hook sees the whole segment and handles every spec shape;
-      // the per-row hook is the filter/projection-only fallback.
-      if (fragment_hook_) {
-        VELOCE_ASSIGN_OR_RETURN(
-            std::vector<MvccScanEntry> kept,
-            fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
-        for (auto& e : kept) out->rows.push_back(std::move(e));
-      } else if (pushdown_hook_) {
-        for (auto& e : res.entries) {
-          VELOCE_ASSIGN_OR_RETURN(std::optional<std::string> kept,
-                                  pushdown_hook_(Slice(e.value), Slice(r.pushdown)));
-          if (!kept.has_value()) continue;
-          out->rows.push_back({std::move(e.key), std::move(*kept)});
-        }
-      } else {
+      if (!fragment_hook_) {
         return Status::NotSupported("scan pushdown requested but no hook registered");
       }
+      VELOCE_ASSIGN_OR_RETURN(
+          std::vector<MvccScanEntry> kept,
+          fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
+      for (auto& e : kept) out->rows.push_back(std::move(e));
     } else {
       for (auto& e : res.entries) out->rows.push_back(std::move(e));
     }
@@ -457,7 +492,8 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
       if (got >= r.limit) return Status::OK();
       remaining = r.limit - got;
     }
-    // Move to the next range, if the scan extends past this one.
+    // Move to the next range, if the scan extends past this one (one
+    // latch at a time: this range's is released before the next is taken).
     if (range_end.empty()) return Status::OK();
     if (!r.end_key.empty() && Slice(range_end) >= Slice(r.end_key)) {
       return Status::OK();
@@ -465,106 +501,56 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, const BatchRequest& req,
     cursor = range_end;
     cur_range = LookupRangeLocked(cursor);
     if (cur_range == nullptr) return Status::NotFound("range gap during scan");
+    latch->unlock();
+    *latch = Latch(cur_range->latch);
   }
 }
 
-Status KVCluster::ExecuteWriteLocked(RangeState* range, const BatchRequest& req,
-                                     const RequestUnion& r, BatchResponse* resp,
-                                     Timestamp* applied_ts) {
+Status KVCluster::ExecuteWritesLocked(RangeState* range, Latch* latch,
+                                      const BatchRequest& req,
+                                      const std::vector<const RequestUnion*>& writes,
+                                      BatchResponse* resp, Timestamp* applied_ts) {
   storage::Engine* engine = LeaseholderEngineLocked(*range);
   if (engine == nullptr) {
     return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
   }
   VELOCE_RETURN_IF_ERROR(CheckLeaseLocked(*range));
-  Timestamp write_ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
-  // Serializability: never write below a timestamp someone already read at,
-  // nor at or below the closed timestamp (follower reads rely on it).
-  const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key);
-  if (write_ts <= max_read) write_ts = max_read.Next();
-  const Timestamp closed = ClosedTimestamp();
-  if (write_ts <= closed) write_ts = closed.Next();
+  Timestamp ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
 
   // Foreign intents block writers (write-write conflicts abort or wait).
-  for (int attempt = 0;; ++attempt) {
-    VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r.key));
-    if (!intent.has_value() || intent->txn_id == req.txn_id) break;
-    if (attempt >= kMaxConflictRetries) {
-      return Status::WriteIntentError("too many conflict retries");
-    }
-    VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r.key, *intent, req, true));
-  }
-
-  storage::WriteBatch batch;
-  const bool tombstone = r.type == RequestType::kDelete;
-  if (req.txn_id != 0) {
-    Status s = txn_registry_.BumpWriteTimestamp(req.txn_id, write_ts);
-    if (!s.ok()) return s;
-    MvccPutIntent(&batch, r.key, req.txn_id, write_ts, tombstone, r.value);
-  } else if (tombstone) {
-    MvccPutTombstone(&batch, r.key, write_ts);
-  } else {
-    MvccPutValue(&batch, r.key, write_ts, r.value);
-  }
-  {
-    obs::ScopedSpan span(req.trace, "replication");
-    VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
-  }
-  range->approx_bytes += r.key.size() + r.value.size();
-  if (write_ts > req.ts && resp->bumped_write_ts < write_ts) {
-    resp->bumped_write_ts = write_ts;
-  }
-  hlc_.Update(write_ts);
-  if (applied_ts != nullptr) *applied_ts = write_ts;
-  return Status::OK();
-}
-
-Status KVCluster::ExecuteTxnWriteGroupLocked(
-    RangeState* range, const BatchRequest& req,
-    const std::vector<const RequestUnion*>& writes, BatchResponse* resp) {
-  storage::Engine* engine = LeaseholderEngineLocked(*range);
-  if (engine == nullptr) {
-    return Status::Unavailable("leaseholder has no engine (failed crash-restart)");
-  }
-  VELOCE_RETURN_IF_ERROR(CheckLeaseLocked(*range));
-  // One timestamp for the whole group: the maximum over every key's
-  // timestamp-cache constraint, the closed timestamp, and the request's.
-  Timestamp group_ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
+  VELOCE_RETURN_IF_ERROR(
+      ResolveWriteConflictsLocked(range, latch, engine, req, writes, false));
+  // Serializability: never write below a timestamp someone already read at,
+  // nor at or below the closed timestamp (follower reads rely on it). Read
+  // after the conflict loop, which may have released the latch.
   for (const RequestUnion* r : writes) {
     const Timestamp max_read = range->tscache.MaxReadTimestamp(r->key);
-    if (group_ts <= max_read) group_ts = max_read.Next();
+    if (ts <= max_read) ts = max_read.Next();
   }
   const Timestamp closed = ClosedTimestamp();
-  if (group_ts <= closed) group_ts = closed.Next();
+  if (ts <= closed) ts = closed.Next();
 
-  // Foreign intents block writers (write-write conflicts abort or wait).
-  for (const RequestUnion* r : writes) {
-    for (int attempt = 0;; ++attempt) {
-      VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r->key));
-      if (!intent.has_value() || intent->txn_id == req.txn_id) break;
-      if (attempt >= kMaxConflictRetries) {
-        return Status::WriteIntentError("too many conflict retries");
-      }
-      VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r->key, *intent, req, true));
-    }
+  if (req.txn_id != 0) {
+    VELOCE_RETURN_IF_ERROR(txn_registry_.BumpWriteTimestamp(req.txn_id, ts));
   }
-
-  VELOCE_RETURN_IF_ERROR(txn_registry_.BumpWriteTimestamp(req.txn_id, group_ts));
   storage::WriteBatch batch;
   uint64_t bytes = 0;
   for (const RequestUnion* r : writes) {
-    MvccPutIntent(&batch, r->key, req.txn_id, group_ts,
-                  r->type == RequestType::kDelete, r->value);
+    const bool tombstone = r->type == RequestType::kDelete;
+    if (req.txn_id != 0) {
+      MvccPutIntent(&batch, r->key, req.txn_id, ts, tombstone, r->value);
+    } else if (tombstone) {
+      MvccPutTombstone(&batch, r->key, ts);
+    } else {
+      MvccPutValue(&batch, r->key, ts, r->value);
+    }
     bytes += r->key.size() + r->value.size();
   }
-  {
-    obs::ScopedSpan span(req.trace, "replication");
-    VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
-  }
+  VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req));
   range->approx_bytes += bytes;
-  if (group_ts > req.ts && resp->bumped_write_ts < group_ts) {
-    resp->bumped_write_ts = group_ts;
-  }
-  hlc_.Update(group_ts);
+  if (ts > req.ts && resp->bumped_write_ts < ts) resp->bumped_write_ts = ts;
+  hlc_.Update(ts);
+  *applied_ts = ts;
   return Status::OK();
 }
 
@@ -573,8 +559,11 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
   if (req.requests.empty()) return Status::InvalidArgument("empty 1pc commit");
   VELOCE_ASSIGN_OR_RETURN(RangeState * range,
                           ResolveRangeLocked(req, req.requests[0].key));
+  Latch latch(range->latch);
   const Nanos load_now = clock_->Now();
+  std::vector<const RequestUnion*> writes;
   for (const auto& r : req.requests) {
+    writes.push_back(&r);
     if (r.type != RequestType::kPut && r.type != RequestType::kDelete) {
       return Status::InvalidArgument("1pc batch must contain only writes");
     }
@@ -591,9 +580,7 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
       }
       return Status::NotSupported("1pc batch spans ranges");
     }
-    range->load.Record(load_now, r.key, 1.0,
-                       1.0 + static_cast<double>(r.key.size() + r.value.size()) /
-                                 1024.0);
+    range->load.Record(load_now, r.key);
   }
   if (!nodes_[range->desc.leaseholder]->live()) {
     return Status::Unavailable("leaseholder node is not live");
@@ -613,28 +600,14 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
   }
 
   Timestamp ts = req.ts.IsEmpty() ? hlc_.Now() : req.ts;
+  VELOCE_RETURN_IF_ERROR(
+      ResolveWriteConflictsLocked(range, &latch, engine, req, writes, true));
   for (const auto& r : req.requests) {
     const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key);
     if (ts <= max_read) ts = max_read.Next();
   }
   const Timestamp closed = ClosedTimestamp();
   if (ts <= closed) ts = closed.Next();
-
-  for (const auto& r : req.requests) {
-    for (int attempt = 0;; ++attempt) {
-      VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, r.key));
-      if (!intent.has_value()) break;
-      if (intent->txn_id == req.txn_id) {
-        // The txn already flushed intents; 1PC no longer applies and the
-        // client falls back to the general commit path.
-        return Status::NotSupported("txn holds intents; 1pc unavailable");
-      }
-      if (attempt >= kMaxConflictRetries) {
-        return Status::WriteIntentError("too many conflict retries");
-      }
-      VELOCE_RETURN_IF_ERROR(HandleConflictLocked(range, r.key, *intent, req, true));
-    }
-  }
 
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(req.txn_id));
   if (rec.status == TxnStatus::kAborted) {
@@ -653,11 +626,11 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
     return resp;
   }
   // Write committed versions directly — no intents, no separate resolution
-  // round. Replication must succeed BEFORE the record commits: the cluster
-  // mutex is held throughout, so no pusher can observe the gap, and a
-  // replication failure (quorum loss, WAL fault) leaves the record pending
-  // — the client's Rollback still works and the registry never claims a
-  // commit that wrote nothing.
+  // round. Replication must succeed BEFORE the record commits: the range
+  // latch is held throughout and a 1PC txn lays no intents, so no reader or
+  // pusher can observe the gap; a replication failure (quorum loss, WAL
+  // fault) leaves the record pending — the client's Rollback still works
+  // and the registry never claims a commit that wrote nothing.
   storage::WriteBatch batch;
   uint64_t bytes = 0;
   for (const auto& r : req.requests) {
@@ -668,10 +641,7 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
     }
     bytes += r.key.size() + r.value.size();
   }
-  {
-    obs::ScopedSpan span(req.trace, "replication");
-    VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req.tenant_id));
-  }
+  VELOCE_RETURN_IF_ERROR(ReplicateLocked(range, batch, req));
   VELOCE_RETURN_IF_ERROR(txn_registry_.Commit(req.txn_id, ts));
   range->approx_bytes += bytes;
   hlc_.Update(ts);
@@ -687,16 +657,19 @@ StatusOr<PushResult> KVCluster::RecoverStagedTxnLocked(TxnId id,
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
   if (rec.status != TxnStatus::kStaging) {
     // Finalized while we were deciding to recover.
-    PushResult pr;
-    pr.pushee_status = rec.status;
-    pr.pushed = rec.status != TxnStatus::kPending;
-    pr.commit_ts = rec.write_ts;
-    return pr;
+    return PushResult{rec.status, rec.status != TxnStatus::kPending, rec.write_ts};
   }
   txn_metrics_.recoveries->Inc();
+  const bool expired =
+      coordinator_abandoned ||
+      clock_->Now() - rec.last_heartbeat > TxnRegistry::kExpiration;
   // Commit condition: every declared in-flight write holds this txn's
-  // intent at or below staged_ts.
-  std::vector<std::string> missing;
+  // intent at or below staged_ts. Each key is checked under its range's
+  // latch. Once the record expired, a missing key is poisoned in the
+  // tscache at staged_ts in the same critical section, so a late pipelined
+  // write can no longer land at or below it and satisfy the stale staging
+  // after the check found it missing.
+  bool all_present = true;
   for (const auto& key : rec.in_flight_writes) {
     RangeState* range = LookupRangeLocked(key);
     storage::Engine* engine =
@@ -704,52 +677,45 @@ StatusOr<PushResult> KVCluster::RecoverStagedTxnLocked(TxnId id,
     if (engine == nullptr) {
       return Status::Unavailable("cannot verify staged write (range unavailable)");
     }
+    Latch latch(range->latch);
     VELOCE_ASSIGN_OR_RETURN(auto intent, MvccGetIntent(engine, key));
-    if (!intent.has_value() || intent->txn_id != id || intent->ts > rec.staged_ts) {
-      missing.push_back(key);
+    if (intent.has_value() && intent->txn_id == id && intent->ts <= rec.staged_ts) {
+      continue;
     }
+    all_present = false;
+    if (!expired) break;
+    range->tscache.RecordRead(key, rec.staged_ts);
   }
-  if (missing.empty()) {
+  // The registry arbitrates races with a concurrent recovery or a re-stage
+  // (which declares a new commit condition): when the record moved on since
+  // it was read, finalizing fails and the pusher backs off.
+  const Status raced = Status::WriteIntentError(
+      "txn " + std::to_string(id) + " changed during recovery");
+  if (all_present) {
     // Implicitly committed: finalize on the coordinator's behalf. The
     // coordinator's own CommitTxn later is an idempotent no-op.
-    Status s = txn_registry_.Commit(id, rec.staged_ts);
-    if (!s.ok()) return s;
+    if (!txn_registry_.Commit(id, rec.staged_ts).ok()) return raced;
     oracle_->Observe(rec.staged_ts);
-    PushResult pr;
-    pr.pushee_status = TxnStatus::kCommitted;
-    pr.pushed = true;
-    pr.commit_ts = rec.staged_ts;
-    return pr;
+    return PushResult{TxnStatus::kCommitted, /*pushed=*/true, rec.staged_ts};
   }
-  const bool expired =
-      coordinator_abandoned ||
-      clock_->Now() - rec.last_heartbeat > TxnRegistry::kExpiration;
   if (!expired) {
     // A live parallel commit is still in flight; back off and let the
     // coordinator finish.
     return Status::WriteIntentError("txn " + std::to_string(id) +
                                     " is committing (staged)");
   }
-  // Abandoned staging that never completed. Poison the missing keys in the
-  // tscache at staged_ts so a late pipelined write cannot land at or below
-  // it and retroactively satisfy the stale staging, then abort.
-  for (const auto& key : missing) {
-    RangeState* range = LookupRangeLocked(key);
-    if (range != nullptr) range->tscache.RecordRead(key, rec.staged_ts);
-  }
-  VELOCE_RETURN_IF_ERROR(txn_registry_.Abort(id));
-  PushResult pr;
-  pr.pushee_status = TxnStatus::kAborted;
-  pr.pushed = true;
-  return pr;
+  // Abandoned staging that never completed, its missing keys fenced above.
+  if (!txn_registry_.Abort(id, rec.staged_ts).ok()) return raced;
+  return PushResult{TxnStatus::kAborted, /*pushed=*/true, Timestamp()};
 }
 
 Status KVCluster::ReplicateLocked(RangeState* range, const storage::WriteBatch& batch,
-                                  TenantId tenant) {
+                                  const BatchRequest& req) {
+  obs::ScopedSpan span(req.trace, "replication");
   LogRecord rec;
   rec.kind = LogRecord::Kind::kBatch;
   rec.payload = batch.rep();
-  rec.tenant = tenant;
+  rec.tenant = req.tenant_id;
   return ReplicateRecordLocked(range, std::move(rec), &batch,
                                /*require_quorum=*/true);
 }
@@ -956,26 +922,11 @@ Status KVCluster::SnapshotReplicaLocked(RangeState* range, NodeId to) {
   if (src == nullptr) {
     return Status::Unavailable("no caught-up source replica for snapshot");
   }
-  const std::string start_engine = EncodeIntentKey(range->desc.start_key);
-  std::string end_engine;
-  if (!range->desc.end_key.empty()) {
-    OrderedPutString(&end_engine, range->desc.end_key);
-  }
   // Clear the stale span first: the lagging replica may hold engine keys
   // (e.g. intent slots) the source has since deleted, and a pure copy
   // would resurrect them.
-  {
-    auto it = dst->NewBoundedIterator(start_engine, end_engine);
-    storage::WriteBatch del;
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      del.Delete(it->key());
-      if (del.ByteSize() > (1 << 20)) {
-        VELOCE_RETURN_IF_ERROR(dst->Write(del));
-        del.Clear();
-      }
-    }
-    if (del.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(del));
-  }
+  VELOCE_RETURN_IF_ERROR(ClearSpan(dst, range->desc));
+  const auto [start_engine, end_engine] = EngineSpan(range->desc);
   auto iter = src->NewBoundedIterator(start_engine, end_engine);
   storage::WriteBatch batch;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
@@ -1004,11 +955,29 @@ void KVCluster::TruncateLogLocked(RangeState* range) {
   range->log.TruncateTo(floor);
 }
 
+bool KVCluster::LivenessValidLocked(NodeId id, Nanos now) const {
+  const NodeLiveness& lv = liveness_[id];
+  return !lv.expired && now - lv.last_heartbeat <= options_.liveness_duration;
+}
+
 bool KVCluster::LeaseValidLocked(const RangeState& range) const {
   if (!liveness_enabled_) return true;
-  const NodeLiveness& lv = liveness_[range.desc.leaseholder];
-  if (range.desc.lease_epoch != lv.epoch || lv.expired) return false;
-  return clock_->Now() - lv.last_heartbeat <= options_.liveness_duration;
+  const NodeId holder = range.desc.leaseholder;
+  return range.desc.lease_epoch == liveness_[holder].epoch &&
+         LivenessValidLocked(holder, clock_->Now());
+}
+
+bool KVCluster::CatchUpCandidateLocked(RangeState* range, NodeId node) {
+  const uint64_t committed = range->log.committed_index();
+  return range->log.Applied(node) >= committed ||
+         CatchUpReplicaLocked(range, node, committed).ok();
+}
+
+void KVCluster::TransferLeaseLocked(RangeState* range, NodeId node) {
+  range->desc.leaseholder = node;
+  range->desc.lease_epoch = liveness_[node].epoch;
+  range->log.BumpTerm();
+  lease_moves_c_->Inc();
 }
 
 Status KVCluster::CheckLeaseLocked(const RangeState& range) {
@@ -1023,7 +992,7 @@ Status KVCluster::CheckLeaseLocked(const RangeState& range) {
 // --- Node scaling ------------------------------------------------------------
 
 StatusOr<NodeId> KVCluster::AddNode(const std::string& region) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(
       std::make_unique<KVNode>(id, region, options_.engine_options, obs_));
@@ -1033,27 +1002,54 @@ StatusOr<NodeId> KVCluster::AddNode(const std::string& region) {
   return id;
 }
 
+Status KVCluster::RestartNode(NodeId id) {
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  if (id >= nodes_.size()) return Status::NotFound("no KV node " + std::to_string(id));
+  return nodes_[id]->Restart();
+}
+
 Status KVCluster::MoveReplica(RangeId range_id, NodeId from, NodeId to) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  VELOCE_RETURN_IF_ERROR(StartReplicaMove(range_id, from, to));
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  return MoveReplicaLocked(range_id, from, to);
+}
+
+Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  return StartReplicaMoveLocked(range_id, from, to);
+}
+
+StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  return StepReplicaMoveLocked(range_id, max_bytes);
+}
+
+Status KVCluster::FinishReplicaMove(RangeId range_id) {
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  return FinishReplicaMoveLocked(range_id);
+}
+
+Status KVCluster::AbortReplicaMove(RangeId range_id) {
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  return AbortReplicaMoveLocked(range_id);
+}
+
+Status KVCluster::MoveReplicaLocked(RangeId range_id, NodeId from, NodeId to) {
+  VELOCE_RETURN_IF_ERROR(StartReplicaMoveLocked(range_id, from, to));
   while (true) {
-    StatusOr<bool> done = StepReplicaMove(range_id);
+    StatusOr<bool> done = StepReplicaMoveLocked(range_id, 1 << 20);
     if (!done.ok()) {
-      (void)AbortReplicaMove(range_id);
+      (void)AbortReplicaMoveLocked(range_id);
       return done.status();
     }
     if (*done) break;
   }
-  Status s = FinishReplicaMove(range_id);
-  if (!s.ok()) (void)AbortReplicaMove(range_id);
+  Status s = FinishReplicaMoveLocked(range_id);
+  if (!s.ok()) (void)AbortReplicaMoveLocked(range_id);
   return s;
 }
 
-Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto it = ranges_.find(range_id);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  RangeState* range = it->second.get();
+Status KVCluster::StartReplicaMoveLocked(RangeId range_id, NodeId from, NodeId to) {
+  VELOCE_ASSIGN_OR_RETURN(RangeState * range, FindRangeLocked(range_id));
   if (range->pending_move.has_value()) {
     return Status::Unavailable("replica move already in progress");
   }
@@ -1075,11 +1071,7 @@ Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
   NodeId source = 0;
   bool have_source = false;
   auto try_source = [&](NodeId n) {
-    if (have_source || !NodeUpLocked(n)) return;
-    if (range->log.Applied(n) < committed &&
-        !CatchUpReplicaLocked(range, n, committed).ok()) {
-      return;
-    }
+    if (have_source || !NodeUpLocked(n) || !CatchUpCandidateLocked(range, n)) return;
     source = n;
     have_source = true;
   };
@@ -1098,11 +1090,8 @@ Status KVCluster::StartReplicaMove(RangeId range_id, NodeId from, NodeId to) {
   return Status::OK();
 }
 
-StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto it = ranges_.find(range_id);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  RangeState* range = it->second.get();
+StatusOr<bool> KVCluster::StepReplicaMoveLocked(RangeId range_id, size_t max_bytes) {
+  VELOCE_ASSIGN_OR_RETURN(RangeState * range, FindRangeLocked(range_id));
   if (!range->pending_move.has_value()) {
     return Status::InvalidArgument("no replica move in progress");
   }
@@ -1112,11 +1101,7 @@ StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
     return Status::Unavailable("move target lost mid-stream");
   }
   storage::Engine* dst = nodes_[move.to]->engine();
-  const std::string span_start = EncodeIntentKey(range->desc.start_key);
-  std::string span_end;
-  if (!range->desc.end_key.empty()) {
-    OrderedPutString(&span_end, range->desc.end_key);
-  }
+  const auto [span_start, span_end] = EngineSpan(range->desc);
   const std::string chunk_start = move.cursor.empty() ? span_start : move.cursor;
   if (move.clearing) {
     // Phase 1: wipe the target's stale span (a node that held this span in
@@ -1168,11 +1153,8 @@ StatusOr<bool> KVCluster::StepReplicaMove(RangeId range_id, size_t max_bytes) {
   return false;
 }
 
-Status KVCluster::FinishReplicaMove(RangeId range_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto it = ranges_.find(range_id);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  RangeState* range = it->second.get();
+Status KVCluster::FinishReplicaMoveLocked(RangeId range_id) {
+  VELOCE_ASSIGN_OR_RETURN(RangeState * range, FindRangeLocked(range_id));
   if (!range->pending_move.has_value()) {
     return Status::InvalidArgument("no replica move in progress");
   }
@@ -1200,7 +1182,8 @@ Status KVCluster::FinishReplicaMove(RangeId range_id) {
     VELOCE_RETURN_IF_ERROR(SnapshotReplicaLocked(range, move.to));
   }
   // Atomic cutover: the descriptor swap, applied position, generation bump,
-  // and (if needed) lease handoff all land together under the cluster lock.
+  // and (if needed) lease handoff all land together under the exclusive
+  // directory lock.
   for (NodeId& replica : range->desc.replicas) {
     if (replica == move.from) replica = move.to;
   }
@@ -1208,50 +1191,25 @@ Status KVCluster::FinishReplicaMove(RangeId range_id) {
   range->log.SetApplied(move.to, committed);
   range->desc.generation++;
   replica_moves_c_->Inc();
-  if (range->desc.leaseholder == move.from) {
-    range->desc.leaseholder = move.to;
-    range->desc.lease_epoch = liveness_[move.to].epoch;
-    range->log.BumpTerm();
-    lease_moves_c_->Inc();
-  }
+  if (range->desc.leaseholder == move.from) TransferLeaseLocked(range, move.to);
   range->pending_move.reset();
   TruncateLogLocked(range);  // unpin
   return Status::OK();
 }
 
-Status KVCluster::AbortReplicaMove(RangeId range_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto it = ranges_.find(range_id);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  RangeState* range = it->second.get();
+Status KVCluster::AbortReplicaMoveLocked(RangeId range_id) {
+  VELOCE_ASSIGN_OR_RETURN(RangeState * range, FindRangeLocked(range_id));
   if (!range->pending_move.has_value()) return Status::OK();
   const PendingMove move = *range->pending_move;
   range->pending_move.reset();
   TruncateLogLocked(range);  // unpin
   // Best-effort wipe of the partially streamed span from the target.
   storage::Engine* dst = nodes_[move.to]->engine();
-  if (dst != nullptr) {
-    const std::string span_start = EncodeIntentKey(range->desc.start_key);
-    std::string span_end;
-    if (!range->desc.end_key.empty()) {
-      OrderedPutString(&span_end, range->desc.end_key);
-    }
-    auto iter = dst->NewBoundedIterator(span_start, span_end);
-    storage::WriteBatch del;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      del.Delete(iter->key());
-      if (del.ByteSize() > (1 << 20)) {
-        VELOCE_RETURN_IF_ERROR(dst->Write(del));
-        del.Clear();
-      }
-    }
-    if (del.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(del));
-  }
-  return Status::OK();
+  return dst != nullptr ? ClearSpan(dst, range->desc) : Status::OK();
 }
 
 StatusOr<int> KVCluster::RebalanceReplicas() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   // Count replicas per live node.
   auto replica_counts = [&] {
     std::vector<int> counts(nodes_.size(), 0);
@@ -1281,7 +1239,7 @@ StatusOr<int> KVCluster::RebalanceReplicas() {
     bool moved = false;
     for (auto& [rid, state] : ranges_) {
       if (!state->desc.HasReplica(most) || state->desc.HasReplica(least)) continue;
-      VELOCE_RETURN_IF_ERROR(MoveReplica(rid, most, least));
+      VELOCE_RETURN_IF_ERROR(MoveReplicaLocked(rid, most, least));
       ++moves;
       moved = true;
       break;
@@ -1293,7 +1251,7 @@ StatusOr<int> KVCluster::RebalanceReplicas() {
 
 StatusOr<uint64_t> KVCluster::GarbageCollectTenant(TenantId tenant,
                                                    Timestamp threshold) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const std::string start = TenantPrefix(tenant);
   const std::string end = TenantPrefixEnd(tenant);
   uint64_t removed = 0;
@@ -1309,7 +1267,7 @@ StatusOr<uint64_t> KVCluster::GarbageCollectTenant(TenantId tenant,
 // --- Tenant keyspaces -------------------------------------------------------
 
 Status KVCluster::CreateTenantKeyspace(TenantId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const std::string prefix = TenantPrefix(id);
   const std::string prefix_end = TenantPrefixEnd(id);
   RangeState* range = LookupRangeLocked(prefix);
@@ -1334,7 +1292,7 @@ Status KVCluster::CreateTenantKeyspace(TenantId id) {
 }
 
 Status KVCluster::DestroyTenantKeyspace(TenantId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const std::string prefix = TenantPrefix(id);
   const std::string prefix_end = TenantPrefixEnd(id);
   // Delete the data from every node (tombstones via a range deletion scan).
@@ -1367,7 +1325,9 @@ TxnRecord KVCluster::BeginTxn(int32_t priority) {
 Status KVCluster::StageTxn(TxnId id, const std::vector<std::string>& in_flight_keys,
                            Timestamp* staged_ts,
                            std::optional<Timestamp> validated_ts) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  // Registry and oracle only (leaf locks). A push or bump landing between
+  // the Get and the Stage leaves write_ts above staged_ts, which fails the
+  // commit condition exactly like a bump right after staging.
   VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
   if (rec.status == TxnStatus::kAborted) {
     return Status::TransactionAborted("aborted by a concurrent pusher");
@@ -1397,32 +1357,41 @@ Status KVCluster::StageTxn(TxnId id, const std::vector<std::string>& in_flight_k
 Status KVCluster::CommitTxn(TxnId id, const std::vector<std::string>& intent_keys,
                             Timestamp* commit_ts,
                             std::optional<Timestamp> validated_ts) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
-  Timestamp ts = rec.write_ts;
-  if (rec.status == TxnStatus::kPending && validated_ts.has_value() &&
-      ts > *validated_ts) {
-    // A pusher moved the write timestamp after the coordinator's refresh;
-    // committing would finalize reads never validated at `ts`.
-    if (commit_ts != nullptr) *commit_ts = ts;
-    return Status::TransactionRetry(
-        "write timestamp above validated reads; refresh and retry");
-  }
-  if (rec.status == TxnStatus::kStaging) {
-    if (rec.write_ts > rec.staged_ts) {
-      // A pipelined write got bumped past the staged timestamp after
-      // staging; the commit condition fails until the coordinator
-      // refreshes and re-stages.
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
+  Timestamp ts;
+  while (true) {
+    VELOCE_ASSIGN_OR_RETURN(TxnRecord rec, txn_registry_.Get(id));
+    ts = rec.write_ts;
+    if (rec.status == TxnStatus::kPending && validated_ts.has_value() &&
+        ts > *validated_ts) {
+      // A pusher moved the write timestamp after the coordinator's refresh;
+      // committing would finalize reads never validated at `ts`.
+      if (commit_ts != nullptr) *commit_ts = ts;
       return Status::TransactionRetry(
-          "staged txn has bumped in-flight writes; refresh and re-stage");
+          "write timestamp above validated reads; refresh and retry");
     }
-    ts = rec.staged_ts;
+    if (rec.status == TxnStatus::kStaging) {
+      if (rec.write_ts > rec.staged_ts) {
+        // A pipelined write got bumped past the staged timestamp after
+        // staging; the commit condition fails until the coordinator
+        // refreshes and re-stages.
+        return Status::TransactionRetry(
+            "staged txn has bumped in-flight writes; refresh and re-stage");
+      }
+      ts = rec.staged_ts;
+    }
+    // The registry refuses with TransactionRetry when a push landed after
+    // the Get above; re-read the record and validate again.
+    const Status s = txn_registry_.Commit(id, ts);
+    if (s.IsTransactionRetry()) continue;
+    VELOCE_RETURN_IF_ERROR(s);
+    break;
   }
-  VELOCE_RETURN_IF_ERROR(txn_registry_.Commit(id, ts));
   oracle_->Observe(ts);
   for (const auto& key : intent_keys) {
     RangeState* range = LookupRangeLocked(key);
     if (range == nullptr) continue;
+    Latch latch(range->latch);
     LogRecord rec;
     rec.kind = LogRecord::Kind::kResolveIntent;
     rec.key = key;
@@ -1438,12 +1407,12 @@ Status KVCluster::CommitTxn(TxnId id, const std::vector<std::string>& intent_key
 }
 
 StatusOr<PushResult> KVCluster::ResolveAbandonedStaging(TxnId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   return RecoverStagedTxnLocked(id, /*coordinator_abandoned=*/true);
 }
 
 size_t KVCluster::GarbageCollectTxns() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   // Expired staging records (the coordinator died mid-parallel-commit) are
   // finalized through the recovery procedure — implicit commit when every
   // declared write is present, abort with tscache fencing otherwise — so
@@ -1456,12 +1425,13 @@ size_t KVCluster::GarbageCollectTxns() {
 }
 
 Status KVCluster::AbortTxn(TxnId id, const std::vector<std::string>& intent_keys) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   Status s = txn_registry_.Abort(id);
   if (!s.ok() && !s.IsNotFound()) return s;
   for (const auto& key : intent_keys) {
     RangeState* range = LookupRangeLocked(key);
     if (range == nullptr) continue;
+    Latch latch(range->latch);
     LogRecord rec;
     rec.kind = LogRecord::Kind::kResolveIntent;
     rec.key = key;
@@ -1475,7 +1445,9 @@ Status KVCluster::AbortTxn(TxnId id, const std::vector<std::string>& intent_keys
 
 StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice end,
                                            Timestamp after, Timestamp upto) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  // Committed versions only, read from a consistent engine iterator: no
+  // range latch is needed.
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   (void)tenant;
   std::string cursor = start.ToString();
   while (true) {
@@ -1499,7 +1471,7 @@ StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice e
 // --- Ranges / leases ---------------------------------------------------------
 
 std::vector<RangeDescriptor> KVCluster::Ranges() const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   std::vector<RangeDescriptor> out;
   out.reserve(ranges_.size());
   for (const auto& [start, rid] : by_start_) {
@@ -1509,7 +1481,7 @@ std::vector<RangeDescriptor> KVCluster::Ranges() const {
 }
 
 int KVCluster::CountLeases(NodeId node) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   int count = 0;
   for (const auto& [rid, state] : ranges_) {
     if (state->desc.leaseholder == node) ++count;
@@ -1518,45 +1490,46 @@ int KVCluster::CountLeases(NodeId node) const {
 }
 
 uint64_t KVCluster::RangeLogCommittedIndex(RangeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   auto it = ranges_.find(id);
-  return it == ranges_.end() ? 0 : it->second->log.committed_index();
+  if (it == ranges_.end()) return 0;
+  Latch latch(it->second->latch);
+  return it->second->log.committed_index();
 }
 
 uint64_t KVCluster::RangeReplicaApplied(RangeId id, NodeId node) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   auto it = ranges_.find(id);
-  return it == ranges_.end() ? 0 : it->second->log.Applied(node);
+  if (it == ranges_.end()) return 0;
+  Latch latch(it->second->latch);
+  return it->second->log.Applied(node);
 }
 
 // --- Heartbeat liveness / epoch leases / catch-up ----------------------------
 
 void KVCluster::set_transport(ReplicaTransport* transport) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   transport_ = transport != nullptr ? transport : &passthrough_;
 }
 
 bool KVCluster::liveness_enabled() const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   return liveness_enabled_;
 }
 
 uint64_t KVCluster::NodeLivenessEpoch(NodeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   return id < liveness_.size() ? liveness_[id].epoch : 0;
 }
 
 bool KVCluster::NodeLivenessValid(NodeId id) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
   if (!liveness_enabled_) return true;
-  if (id >= liveness_.size()) return false;
-  const NodeLiveness& lv = liveness_[id];
-  return !lv.expired &&
-         clock_->Now() - lv.last_heartbeat <= options_.liveness_duration;
+  return id < liveness_.size() && LivenessValidLocked(id, clock_->Now());
 }
 
 void KVCluster::TickHeartbeats() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const Nanos now = clock_->Now();
   if (!liveness_enabled_) {
     // Arming grace period: every node starts with a fresh record and gets
@@ -1615,32 +1588,22 @@ void KVCluster::MaybeReassignLeaseLocked(RangeState* range) {
   if (!liveness_enabled_) return;
   if (nodes_[range->desc.leaseholder]->live() && LeaseValidLocked(*range)) return;
   const Nanos now = clock_->Now();
-  const uint64_t committed = range->log.committed_index();
   for (NodeId n : range->desc.replicas) {
-    if (!NodeUpLocked(n)) continue;
-    const NodeLiveness& lv = liveness_[n];
-    if (lv.expired || now - lv.last_heartbeat > options_.liveness_duration) {
+    if (!NodeUpLocked(n) || !LivenessValidLocked(n, now) ||
+        !CatchUpCandidateLocked(range, n)) {
       continue;
     }
-    // The incoming leaseholder must hold everything the log committed —
-    // a behind replica serving reads would un-linearize acked writes.
-    if (range->log.Applied(n) < committed &&
-        !CatchUpReplicaLocked(range, n, committed).ok()) {
-      continue;
-    }
-    if (range->desc.leaseholder == n && range->desc.lease_epoch == lv.epoch) {
+    if (range->desc.leaseholder == n &&
+        range->desc.lease_epoch == liveness_[n].epoch) {
       return;  // current lease is actually fine
     }
-    range->desc.leaseholder = n;
-    range->desc.lease_epoch = lv.epoch;
-    range->log.BumpTerm();
-    lease_moves_c_->Inc();
+    TransferLeaseLocked(range, n);
     return;
   }
 }
 
 Status KVCluster::CatchUpNode(NodeId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   if (id >= nodes_.size()) return Status::InvalidArgument("no such node");
   if (nodes_[id]->engine() == nullptr) {
     return Status::Unavailable("node has no engine (failed crash-restart)");
@@ -1667,22 +1630,14 @@ void KVCluster::SetNodeLive(NodeId id, bool live) {
 }
 
 void KVCluster::ShedLeases(NodeId id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   for (auto& [rid, state] : ranges_) {
     if (state->desc.leaseholder != id) continue;
-    const uint64_t committed = state->log.committed_index();
     for (NodeId n : state->desc.replicas) {
-      if (n == id || !NodeUpLocked(n)) continue;
-      // The incoming leaseholder must hold everything the log committed —
-      // a behind replica serving reads would un-linearize acked writes.
-      if (state->log.Applied(n) < committed &&
-          !CatchUpReplicaLocked(state.get(), n, committed).ok()) {
+      if (n == id || !NodeUpLocked(n) || !CatchUpCandidateLocked(state.get(), n)) {
         continue;
       }
-      state->desc.leaseholder = n;
-      state->desc.lease_epoch = liveness_[n].epoch;
-      state->log.BumpTerm();
-      lease_moves_c_->Inc();
+      TransferLeaseLocked(state.get(), n);
       break;
     }
     // No caught-up candidate: the lease stays put (and invalid, if the
@@ -1692,28 +1647,20 @@ void KVCluster::ShedLeases(NodeId id) {
 }
 
 void KVCluster::BalanceLeases() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   size_t next = 0;
   for (auto& [start, rid] : by_start_) {
     RangeState* state = ranges_[rid].get();
-    const uint64_t committed = state->log.committed_index();
     // Pick the next live, caught-up replica in round-robin order over the
     // replica set; a behind candidate that cannot replay the gap is skipped
     // rather than handed a lease over a divergent engine.
     for (size_t i = 0; i < state->desc.replicas.size(); ++i) {
       const NodeId candidate =
           state->desc.replicas[(next + i) % state->desc.replicas.size()];
-      if (!NodeUpLocked(candidate)) continue;
-      if (state->log.Applied(candidate) < committed &&
-          !CatchUpReplicaLocked(state, candidate, committed).ok()) {
+      if (!NodeUpLocked(candidate) || !CatchUpCandidateLocked(state, candidate)) {
         continue;
       }
-      if (state->desc.leaseholder != candidate) {
-        state->desc.leaseholder = candidate;
-        state->desc.lease_epoch = liveness_[candidate].epoch;
-        state->log.BumpTerm();
-        lease_moves_c_->Inc();
-      }
+      if (state->desc.leaseholder != candidate) TransferLeaseLocked(state, candidate);
       break;
     }
     ++next;
@@ -1721,7 +1668,7 @@ void KVCluster::BalanceLeases() {
 }
 
 Status KVCluster::SplitRange(Slice split_key) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   return SplitRangeLocked(split_key);
 }
 
@@ -1762,7 +1709,7 @@ Status KVCluster::SplitRangeLocked(Slice split_key, SplitReason reason) {
 }
 
 StatusOr<int> KVCluster::MaybeSplitRanges() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   int splits = 0;
   // Collect candidates first; splitting mutates the maps.
   std::vector<RangeId> oversized;
@@ -1775,12 +1722,8 @@ StatusOr<int> KVCluster::MaybeSplitRanges() {
     // Find an approximate midpoint key by scanning the leaseholder engine.
     storage::Engine* engine = LeaseholderEngineLocked(*state);
     if (engine == nullptr) continue;  // leaseholder down; next sweep
-    std::string end_bound;
-    if (!state->desc.end_key.empty()) {
-      OrderedPutString(&end_bound, state->desc.end_key);
-    }
-    auto it = engine->NewBoundedIterator(EncodeIntentKey(state->desc.start_key),
-                                         end_bound);
+    const auto [start_bound, end_bound] = EngineSpan(state->desc);
+    auto it = engine->NewBoundedIterator(start_bound, end_bound);
     uint64_t seen = 0;
     std::string mid_key;
     const uint64_t target = state->approx_bytes / 2;
@@ -1827,22 +1770,13 @@ StatusOr<int> KVCluster::MaybeSplitRanges() {
 
 bool KVCluster::CanMergeLocked(const RangeState& left, const RangeState& right,
                                Nanos now) const {
-  if (left.pending_move.has_value() || right.pending_move.has_value()) {
-    return false;
-  }
-  // Never fuse ranges across tenants: the per-tenant keyspace partitioning
-  // is the storage half of cluster virtualization.
-  if (left.desc.tenant_id != right.desc.tenant_id) return false;
-  if (left.desc.end_key.empty() || left.desc.end_key != right.desc.start_key) {
-    return false;
-  }
-  // Hysteresis: both sides must have dwelled below the QPS threshold.
-  if (left.cooled_since < 0 || now - left.cooled_since < options_.merge_dwell) {
-    return false;
-  }
-  if (right.cooled_since < 0 || now - right.cooled_since < options_.merge_dwell) {
-    return false;
-  }
+  // Tenant, adjacency and in-flight-move checks are MergeRangesLocked's,
+  // which runs them before any side effect. Hysteresis: both sides must
+  // have dwelled below the QPS threshold.
+  auto dwelled = [&](const RangeState& r) {
+    return r.cooled_since >= 0 && now - r.cooled_since >= options_.merge_dwell;
+  };
+  if (!dwelled(left) || !dwelled(right)) return false;
   // Keep the merged range well under the split threshold so a merge never
   // immediately re-triggers a size split (split/merge flapping).
   const uint64_t cap = options_.merge_max_bytes != 0
@@ -1852,10 +1786,7 @@ bool KVCluster::CanMergeLocked(const RangeState& left, const RangeState& right,
   // The merged range keeps the left range's lease, so that lease must be
   // valid right now — the merge can never install (or later resurrect) a
   // stale epoch.
-  if (!LeaseValidLocked(left) || !NodeUpLocked(left.desc.leaseholder)) {
-    return false;
-  }
-  return true;
+  return LeaseValidLocked(left) && NodeUpLocked(left.desc.leaseholder);
 }
 
 Status KVCluster::MergeRangesLocked(RangeState* left, RangeState* right,
@@ -1884,7 +1815,8 @@ Status KVCluster::MergeRangesLocked(RangeState* left, RangeState* right,
     if (!right->desc.HasReplica(n)) missing.push_back(n);
   }
   for (size_t i = 0; i < extras.size(); ++i) {
-    VELOCE_RETURN_IF_ERROR(MoveReplica(right->desc.range_id, extras[i], missing[i]));
+    VELOCE_RETURN_IF_ERROR(
+        MoveReplicaLocked(right->desc.range_id, extras[i], missing[i]));
   }
   // Every replica must be reachable and fully applied on BOTH logs: the
   // right log dies with the merge, and a replica missing right-side records
@@ -1929,10 +1861,8 @@ Status KVCluster::MergeRangesLocked(RangeState* left, RangeState* right,
 }
 
 Status KVCluster::MergeRanges(RangeId left_id) {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto it = ranges_.find(left_id);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  RangeState* left = it->second.get();
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
+  VELOCE_ASSIGN_OR_RETURN(RangeState * left, FindRangeLocked(left_id));
   if (left->desc.end_key.empty()) {
     return Status::InvalidArgument("range has no right neighbour");
   }
@@ -1946,7 +1876,7 @@ Status KVCluster::MergeRanges(RangeId left_id) {
 }
 
 StatusOr<int> KVCluster::MaybeMergeRanges() {
-  std::lock_guard<std::recursive_mutex> l(mu_);
+  std::unique_lock<std::shared_mutex> dir(dir_mu_);
   const Nanos now = clock_->Now();
   // Pass 1: advance the cooldown dwell clocks.
   for (auto& [rid, state] : ranges_) {
@@ -1982,10 +1912,11 @@ StatusOr<int> KVCluster::MaybeMergeRanges() {
 }
 
 double KVCluster::RangeQps(Slice key) const {
-  std::lock_guard<std::recursive_mutex> l(mu_);
-  auto* self = const_cast<KVCluster*>(this);
-  RangeState* range = self->LookupRangeLocked(key);
-  return range == nullptr ? 0.0 : range->load.Qps(clock_->Now());
+  std::shared_lock<std::shared_mutex> dir(dir_mu_);
+  RangeState* range = const_cast<KVCluster*>(this)->LookupRangeLocked(key);
+  if (range == nullptr) return 0.0;
+  Latch latch(range->latch);
+  return range->load.Qps(clock_->Now());
 }
 
 }  // namespace veloce::kv

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -78,23 +79,13 @@ struct KVClusterOptions {
 using BatchInterceptor =
     std::function<Status(NodeId leaseholder, const BatchRequest&)>;
 
-/// Row filter/projection evaluator for pushdown scans (the paper's
-/// future-work Section 8). Invoked at the KV node for every visible scan
-/// row when the request carries a spec. Returns:
-///   * nullopt            — the row is filtered out (not returned);
-///   * a (possibly projected/trimmed) value to return instead.
-/// The spec format is owned by whoever registers the hook (the SQL layer
-/// in this repository), keeping the KV layer schema-agnostic — in
-/// production both layers ship in the same binary, as here.
-using ScanPushdownHook = std::function<StatusOr<std::optional<std::string>>(
-    Slice row_value, Slice spec)>;
-
-/// Batch fragment evaluator for pushdown scans: invoked once per range
-/// segment with all visible rows, it returns the entries to ship back.
-/// Strictly more general than ScanPushdownHook — besides per-row filter
-/// and projection it can run whole query fragments (e.g. partial
-/// aggregation, returning one entry per group). Preferred over the
-/// per-row hook when both are registered.
+/// Batch fragment evaluator for pushdown scans (the paper's future-work
+/// Section 8): invoked at the KV node once per range segment with all
+/// visible rows when the scan carries a spec, it returns the entries to
+/// ship back — filtered/projected rows or whole query fragments (e.g. one
+/// partial-aggregate entry per group). The spec format is owned by whoever
+/// registers the hook (the SQL layer here), keeping the KV layer
+/// schema-agnostic.
 using ScanFragmentHook = std::function<StatusOr<std::vector<MvccScanEntry>>(
     std::vector<MvccScanEntry> rows, Slice spec)>;
 
@@ -103,6 +94,24 @@ using ScanFragmentHook = std::function<StatusOr<std::vector<MvccScanEntry>>(
 /// (DistSender). In production these are separate processes exchanging
 /// RPCs; here they are one object graph, with the process boundary's
 /// marshaling cost modeled explicitly at the SQL/KV connector.
+///
+/// Concurrency: the range directory (`ranges_`, `by_start_`, every range's
+/// descriptor, `nodes_`, liveness, the transport) sits behind `dir_mu_`, a
+/// shared_mutex; each range's mutable state (timestamp cache, replication
+/// log, load tracker, approximate size, pending move) behind that range's
+/// own latch. The data path — Send, 1PC, CommitTxn/AbortTxn, staging
+/// recovery, AnyNewerVersions, introspection — holds the directory shared
+/// and at most one range latch at a time, with replication and engine I/O
+/// under the latch, so requests on different ranges run in parallel; a
+/// step that reaches another range (a scan crossing a boundary, recovery of
+/// a staged txn) releases the current latch first and, after re-taking it,
+/// re-checks whatever it had checked under it. Topology changes
+/// (split, merge, replica moves, lease moves, heartbeats, node add/restart,
+/// catch-up, tenant keyspace create/destroy/GC) hold the directory
+/// exclusively and need no latches. Below both sit leaf locks that never
+/// call back out: each engine, TxnRegistry, the HLC, the timestamp oracle
+/// and KVNode's tenant byte accounting. docs/TXN.md ("Concurrency") walks
+/// through the hierarchy.
 class KVCluster {
  public:
   explicit KVCluster(KVClusterOptions options);
@@ -170,6 +179,11 @@ class KVCluster {
   Status CreateTenantKeyspace(TenantId id);
   /// Drops directory entries and data for a tenant's keyspan.
   Status DestroyTenantKeyspace(TenantId id);
+
+  /// Simulated crash-restart of one node's engine (KVNode::Restart), run
+  /// with the directory held exclusively so no request is mid-flight on
+  /// the engine being torn down.
+  Status RestartNode(NodeId id);
 
   // --- Data path ----------------------------------------------------------
   /// Executes a batch. `req.tenant_id` is the *authenticated* identity (the
@@ -295,19 +309,14 @@ class KVCluster {
   StatusOr<uint64_t> GarbageCollectTenant(TenantId tenant, Timestamp threshold);
 
   /// Interceptor called before every per-range execution (see
-  /// BatchInterceptor). Not thread-safe to set while serving.
+  /// BatchInterceptor), under that range's latch; it must not call back
+  /// into the cluster. Not thread-safe to set while serving.
   void set_batch_interceptor(BatchInterceptor interceptor) {
     interceptor_ = std::move(interceptor);
   }
 
-  /// Registers the scan pushdown evaluator (see ScanPushdownHook). Scans
+  /// Registers the batch fragment evaluator (see ScanFragmentHook). Scans
   /// carrying a spec while no hook is registered fail with NotSupported.
-  void set_scan_pushdown_hook(ScanPushdownHook hook) {
-    pushdown_hook_ = std::move(hook);
-  }
-
-  /// Registers the batch fragment evaluator (see ScanFragmentHook). Takes
-  /// precedence over the per-row hook for scans carrying a spec.
   void set_scan_fragment_hook(ScanFragmentHook hook) {
     fragment_hook_ = std::move(hook);
   }
@@ -341,6 +350,9 @@ class KVCluster {
   };
 
   struct RangeState {
+    /// Guards everything below `desc`. `desc` itself changes only under
+    /// the exclusive directory lock, so a shared holder reads it freely.
+    std::mutex latch;
     RangeDescriptor desc;
     TimestampCache tscache;
     ReplicationLog log;
@@ -354,28 +366,34 @@ class KVCluster {
 
   enum class SplitReason { kManual, kSize, kLoad };
 
-  // All Locked methods require mu_.
+  using Latch = std::unique_lock<std::mutex>;
+
+  // All Locked methods require dir_mu_ (shared or exclusive). A RangeState
+  // argument additionally requires that range's latch unless dir_mu_ is
+  // held exclusively. Methods taking a Latch* may release and re-acquire
+  // it (conflict recovery, scans moving to the next range).
   RangeState* LookupRangeLocked(Slice key);
+  StatusOr<RangeState*> FindRangeLocked(RangeId id);
   Status CheckTenantBoundsLocked(const BatchRequest& req, Slice key,
                                  Slice end_key) const;
-  Status ExecuteReadLocked(RangeState* range, const BatchRequest& req,
-                           const RequestUnion& r, ResponseUnion* out,
-                           NodeId serving_node);
+  Status ExecuteReadLocked(RangeState* range, Latch* latch,
+                           const BatchRequest& req, const RequestUnion& r,
+                           ResponseUnion* out, NodeId serving_node);
   /// Picks the node to serve a read: the leaseholder, or — for follower-
   /// eligible stale reads — any live replica. NotFound when unservable.
   StatusOr<NodeId> PickReadNodeLocked(const RangeState& range,
                                       const BatchRequest& req,
                                       const RequestUnion& r) const;
-  Status ExecuteWriteLocked(RangeState* range, const BatchRequest& req,
-                            const RequestUnion& r, BatchResponse* resp,
-                            Timestamp* applied_ts);
-  /// Executes a contiguous run of transactional writes landing on one range
-  /// as a single unit: one timestamp for the group, one BumpWriteTimestamp,
-  /// one storage WriteBatch, one replication round — the server half of
-  /// pipelined intent batches.
-  Status ExecuteTxnWriteGroupLocked(RangeState* range, const BatchRequest& req,
-                                    const std::vector<const RequestUnion*>& writes,
-                                    BatchResponse* resp);
+  /// Executes writes landing on one range as a single unit: one timestamp,
+  /// one storage WriteBatch, one replication round. A transaction's
+  /// contiguous run of writes forms one group (intents, one
+  /// BumpWriteTimestamp — the server half of pipelined intent batches); a
+  /// non-transactional write is a group of one (a committed version).
+  /// `*applied_ts` receives the timestamp written at.
+  Status ExecuteWritesLocked(RangeState* range, Latch* latch,
+                             const BatchRequest& req,
+                             const std::vector<const RequestUnion*>& writes,
+                             BatchResponse* resp, Timestamp* applied_ts);
   /// One-phase commit: the batch carries the txn's entire buffered write
   /// set; commits at a single timestamp with committed versions written
   /// directly (no intents, no separate record round). NotSupported when the
@@ -384,19 +402,22 @@ class KVCluster {
   /// Parallel-commit status recovery: a pusher found `id` in STAGING. If
   /// every declared in-flight write holds an intent at or below staged_ts
   /// the txn is implicitly committed and is finalized here; if a write is
-  /// missing and the record expired, the txn is aborted (with the missing
-  /// keys' timestamps poisoned in the tscache so a late write cannot
-  /// retroactively satisfy the stale staging); otherwise the pusher backs
-  /// off (WriteIntentError). `coordinator_abandoned` skips the liveness
-  /// backoff: the coordinator itself gave up on the commit (equivalent to
-  /// an expired record), so a missing write aborts immediately.
+  /// missing and the record expired, the txn is aborted (each missing key
+  /// poisoned in the tscache under the latch that found it missing, so a
+  /// late write cannot satisfy the stale staging); otherwise the pusher
+  /// backs off (WriteIntentError). `coordinator_abandoned` skips the
+  /// liveness backoff: the coordinator itself gave up on the commit
+  /// (equivalent to an expired record), so a missing write aborts
+  /// immediately. Must be called with no range latch held: it latches the
+  /// range of each key it checks.
   StatusOr<PushResult> RecoverStagedTxnLocked(TxnId id,
                                               bool coordinator_abandoned = false);
   /// Replicates a storage batch to the range's replicas through the
-  /// transport (quorum of acks required). Attributes payload bytes to the
-  /// tenant on each node that applies.
+  /// transport (quorum of acks required), under a "replication" span of
+  /// the request's trace. Attributes payload bytes to the request's tenant
+  /// on each node that applies.
   Status ReplicateLocked(RangeState* range, const storage::WriteBatch& batch,
-                         TenantId tenant);
+                         const BatchRequest& req);
   /// The general replication path: appends `rec` to the range log and
   /// delivers it per the transport's link decisions. The leaseholder
   /// applies first (a local failure rejects the round with nothing
@@ -426,9 +447,18 @@ class KVCluster {
   Status SnapshotReplicaLocked(RangeState* range, NodeId to);
   /// Drops fully-applied log prefixes (bounded retention while lagging).
   void TruncateLogLocked(RangeState* range);
+  /// Whether the node's liveness record is unexpired and fresh at `now`.
+  bool LivenessValidLocked(NodeId id, Nanos now) const;
   /// True while the leaseholder's lease is valid: liveness enforcement off,
   /// or epoch matches and the holder's liveness has not expired.
   bool LeaseValidLocked(const RangeState& range) const;
+  /// Whether `node` holds every committed record of `range`, replaying (or
+  /// snapshotting) the gap first. Lease and snapshot-source candidates
+  /// must pass: a behind replica serving reads would un-linearize acked
+  /// writes.
+  bool CatchUpCandidateLocked(RangeState* range, NodeId node);
+  /// Hands the lease to `node` under its current liveness epoch.
+  void TransferLeaseLocked(RangeState* range, NodeId node);
   /// LeaseValidLocked as a Status (LeaseEpochMismatch + counter on reject).
   Status CheckLeaseLocked(const RangeState& range);
   /// Moves an invalid/orphaned lease to a caught-up replica whose liveness
@@ -440,12 +470,27 @@ class KVCluster {
   /// Handles a foreign intent encountered by a read/write. Pushes the owner
   /// and resolves the intent if the push succeeds. Returns OK if the caller
   /// should retry its operation, WriteIntentError if it must back off.
-  Status HandleConflictLocked(RangeState* range, Slice key,
+  /// Staging recovery runs with `latch` released, so callers re-check their
+  /// keys and read the timestamp cache only after the conflict loop.
+  Status HandleConflictLocked(RangeState* range, Latch* latch, Slice key,
                               const IntentMeta& intent, const BatchRequest& req,
                               bool for_write);
+  /// Clears foreign intents off a write group's keys. A resolution may
+  /// release `latch`, and another txn may meanwhile lay an intent on a key
+  /// already checked, so every resolution restarts from the first key. With
+  /// `one_pc`, the txn's own intent means 1PC no longer applies.
+  Status ResolveWriteConflictsLocked(RangeState* range, Latch* latch,
+                                     storage::Engine* engine, const BatchRequest& req,
+                                     const std::vector<const RequestUnion*>& writes,
+                                     bool one_pc);
   Status AddRangeLocked(RangeDescriptor desc);
   Status SplitRangeLocked(Slice split_key,
                           SplitReason reason = SplitReason::kManual);
+  Status MoveReplicaLocked(RangeId range_id, NodeId from, NodeId to);
+  Status StartReplicaMoveLocked(RangeId range_id, NodeId from, NodeId to);
+  StatusOr<bool> StepReplicaMoveLocked(RangeId range_id, size_t max_bytes);
+  Status FinishReplicaMoveLocked(RangeId range_id);
+  Status AbortReplicaMoveLocked(RangeId range_id);
   /// Resolves an addressed batch (req.range_id != 0) against the directory:
   /// the range must still exist and contain `key`, else RangeKeyMismatch
   /// (the client invalidates its cache entry and retries).
@@ -469,13 +514,11 @@ class KVCluster {
   obs::ObsContext obs_;  // resolved context handed to nodes/engines
   std::vector<std::unique_ptr<KVNode>> nodes_;
 
-  mutable std::recursive_mutex mu_;
+  mutable std::shared_mutex dir_mu_;  // the range directory; see class comment
   std::map<RangeId, std::unique_ptr<RangeState>> ranges_;
   std::map<std::string, RangeId> by_start_;  // start_key -> range
   RangeId next_range_id_ = 1;
-  NodeId next_replica_target_ = 0;  // round-robin placement
   BatchInterceptor interceptor_;
-  ScanPushdownHook pushdown_hook_;
   ScanFragmentHook fragment_hook_;
 
   /// Per-node liveness record driven by TickHeartbeats. The epoch bumps

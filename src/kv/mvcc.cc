@@ -325,16 +325,25 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
                                     Slice end, Timestamp after, Timestamp upto) {
   std::string end_bound;
   if (!end.empty()) OrderedPutString(&end_bound, end);
-  auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound);
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+  // A single-key span [k, k\0) probes blooms for k, as MvccGet does.
+  const bool point = end.size() == start.size() + 1 &&
+                     end[start.size()] == '\0' && end.StartsWith(start);
+  const std::string prefix = point ? EncodeMvccPrefix(start) : std::string();
+  auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound, prefix);
+  for (it->SeekToFirst(); it->Valid();) {
     std::string user_key;
     Timestamp ts;
     bool is_intent = false;
     if (!DecodeMvccKey(it->key(), &user_key, &ts, &is_intent)) {
       return Status::Corruption("bad MVCC key");
     }
-    if (is_intent) continue;  // provisional, not a committed version
-    if (ts > after && ts <= upto) return true;
+    if (!is_intent && ts > after && ts <= upto) return true;
+    if (!is_intent && ts <= after) {
+      // Versions sort newest first: the rest of this key is older still.
+      it->Seek(PrefixEnd(EncodeMvccPrefix(user_key)));
+      continue;
+    }
+    it->Next();  // an intent (provisional) or a version above `upto`
   }
   return false;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -51,6 +52,8 @@ class KVNode {
   /// Everything acked as durable before the crash must be readable again
   /// afterwards; the serverless fault tests verify exactly that. On failure
   /// the node is left engine-less — callers must treat the node as dead.
+  /// Inside a KVCluster, call KVCluster::RestartNode instead, which holds
+  /// the directory exclusively while the engine is swapped.
   Status Restart();
 
   /// Liveness: an overloaded node fails its liveness checks and sheds
@@ -73,11 +76,14 @@ class KVNode {
   const NodeBatchStats& stats() const;
 
   /// Per-tenant cumulative engine payload bytes written via this node
-  /// (storage attribution for billing).
+  /// (storage attribution for billing). Replicas of different ranges apply
+  /// concurrently, so the map sits behind its own leaf lock.
   void AddTenantWriteBytes(TenantId tenant, uint64_t bytes) {
+    std::lock_guard<std::mutex> l(tenant_bytes_mu_);
     tenant_write_bytes_[tenant] += bytes;
   }
   uint64_t TenantWriteBytes(TenantId tenant) const {
+    std::lock_guard<std::mutex> l(tenant_bytes_mu_);
     auto it = tenant_write_bytes_.find(tenant);
     return it == tenant_write_bytes_.end() ? 0 : it->second;
   }
@@ -91,6 +97,7 @@ class KVNode {
   storage::EngineOptions engine_options_;  ///< retained for Restart()
   std::unique_ptr<storage::Engine> engine_;
   std::atomic<bool> live_{true};
+  mutable std::mutex tenant_bytes_mu_;
   std::unordered_map<TenantId, uint64_t> tenant_write_bytes_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

@@ -56,8 +56,8 @@ struct RangeDescriptor {
   }
 };
 
-/// Per-range load statistics: exponentially-decayed request and CPU-cost
-/// rates plus a small reservoir of recently-touched keys. The rates drive
+/// Per-range load statistics: an exponentially-decayed request rate plus a
+/// small reservoir of recently-touched keys. The rate drives
 /// load-based splits (hot ranges divide at a sampled key boundary) and
 /// cooldown merges (adjacent cold ranges of one tenant re-fuse); the
 /// reservoir supplies the split point without scanning the engine, which is
@@ -70,12 +70,10 @@ class RangeLoadTracker {
   static constexpr Nanos kHalfLife = 2 * kSecond;
   static constexpr size_t kMaxKeySamples = 16;
 
-  /// Records `count` requests costing `cost` abstract CPU units touching
-  /// `key` at time `now`.
-  void Record(Nanos now, Slice key, double count, double cost) {
+  /// Records one request touching `key` at time `now`.
+  void Record(Nanos now, Slice key) {
     DecayTo(now);
-    requests_ += count;
-    cost_ += cost;
+    requests_ += 1;
     // Deterministic reservoir sampling: the n-th observation replaces a
     // slot with probability k/n, using a counter-seeded xorshift so two
     // identical op sequences sample identical split keys.
@@ -96,11 +94,6 @@ class RangeLoadTracker {
     // The EWMA holds "requests in the trailing half-life window"; divide by
     // the window to express a rate.
     return requests_ / (static_cast<double>(kHalfLife) / kSecond);
-  }
-  /// Decayed CPU cost units/second as of `now`.
-  double CpuRate(Nanos now) const {
-    const_cast<RangeLoadTracker*>(this)->DecayTo(now);
-    return cost_ / (static_cast<double>(kHalfLife) / kSecond);
   }
 
   /// A key strictly inside (start, +inf) splitting the sampled keys roughly
@@ -127,12 +120,11 @@ class RangeLoadTracker {
     observations_ = 0;
   }
 
-  /// Range split: each half keeps half the parent's decayed rates and
+  /// Range split: each half keeps half the parent's decayed rate and
   /// restarts sampling. The caller copies the tracker to the right half
   /// after calling this on the left.
   void OnSplit() {
     requests_ /= 2;
-    cost_ /= 2;
     ResetSamples();
   }
 
@@ -141,7 +133,6 @@ class RangeLoadTracker {
     DecayTo(now);
     const_cast<RangeLoadTracker&>(other).DecayTo(now);
     requests_ += other.requests_;
-    cost_ += other.cost_;
     for (const std::string& k : other.samples_) {
       if (samples_.size() < kMaxKeySamples) samples_.push_back(k);
     }
@@ -160,12 +151,10 @@ class RangeLoadTracker {
         static_cast<double>(now - last_decay_) / static_cast<double>(kHalfLife);
     const double factor = std::pow(0.5, halves);
     requests_ *= factor;
-    cost_ *= factor;
     last_decay_ = now;
   }
 
   double requests_ = 0;
-  double cost_ = 0;
   Nanos last_decay_ = 0;
   uint64_t observations_ = 0;
   std::vector<std::string> samples_;

@@ -32,8 +32,11 @@ struct LinkDecision {
 /// the in-process cluster bit-identical to direct engine writes.
 ///
 /// Implementations must be deterministic given their seed and call order:
-/// the cluster consults the transport under its own mutex, in replica-id
-/// order, so a fixed scenario seed yields a fixed fault trajectory.
+/// the cluster consults the transport in replica-id order, so a fixed
+/// scenario seed run from one thread yields a fixed fault trajectory.
+/// Deliveries run under the sending range's latch, so ranges served from
+/// several threads call in concurrently: a transport shared by concurrent
+/// clients must be thread-safe.
 class ReplicaTransport {
  public:
   virtual ~ReplicaTransport() = default;

@@ -77,6 +77,10 @@ Status TxnRegistry::Commit(TxnId id, Timestamp commit_ts) {
     return Status::TransactionAborted("aborted by a concurrent pusher");
   }
   if (rec.status == TxnStatus::kCommitted) return Status::OK();
+  if ((rec.status == TxnStatus::kPending && commit_ts < rec.write_ts) ||
+      (rec.status == TxnStatus::kStaging && commit_ts != rec.staged_ts)) {
+    return Status::TransactionRetry("txn record moved; re-read and retry");
+  }
   rec.status = TxnStatus::kCommitted;
   rec.write_ts = commit_ts;
   rec.in_flight_writes.clear();
@@ -84,12 +88,16 @@ Status TxnRegistry::Commit(TxnId id, Timestamp commit_ts) {
   return Status::OK();
 }
 
-Status TxnRegistry::Abort(TxnId id) {
+Status TxnRegistry::Abort(TxnId id, std::optional<Timestamp> staged_ts) {
   std::lock_guard<std::mutex> l(mu_);
   auto it = records_.find(id);
   if (it == records_.end()) return Status::NotFound("no txn record");
   if (it->second.status == TxnStatus::kCommitted) {
     return Status::Internal("cannot abort a committed txn");
+  }
+  if (staged_ts.has_value() && (it->second.status != TxnStatus::kStaging ||
+                                it->second.staged_ts != *staged_ts)) {
+    return Status::TransactionRetry("txn record moved; re-read and retry");
   }
   it->second.status = TxnStatus::kAborted;
   it->second.in_flight_writes.clear();

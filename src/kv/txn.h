@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,12 +88,17 @@ class TxnRegistry {
                std::vector<std::string> in_flight_writes);
 
   /// Transitions pending|staging -> committed at `commit_ts`. Fails with
-  /// TransactionAborted if the record was aborted by a pusher.
+  /// TransactionAborted if the record was aborted by a pusher, and with
+  /// TransactionRetry if the record moved since the caller read it: a
+  /// pending write_ts pushed above `commit_ts`, or a staging record
+  /// re-staged at another timestamp.
   Status Commit(TxnId id, Timestamp commit_ts);
 
   /// Transitions pending|staging -> aborted (idempotent; committed stays
-  /// committed).
-  Status Abort(TxnId id);
+  /// committed). With `staged_ts`, only a record still staging at exactly
+  /// that timestamp is aborted (TransactionRetry otherwise): a re-stage
+  /// since the caller read it declared a new commit condition.
+  Status Abort(TxnId id, std::optional<Timestamp> staged_ts = std::nullopt);
 
   /// Push: attempts to resolve a conflict with `pushee`. An expired pushee
   /// is aborted outright. Otherwise a higher-priority pusher aborts the

@@ -162,9 +162,7 @@ StatusOr<sql::ResultSet> ServerlessCluster::ExecuteSync(Proxy::Connection* conn,
 }
 
 Status ServerlessCluster::CrashAndRestartKvNode(kv::NodeId id) {
-  kv::KVNode* node = kv_->node(id);
-  if (node == nullptr) return Status::NotFound("no KV node " + std::to_string(id));
-  const Status restarted = node->Restart();
+  const Status restarted = kv_->RestartNode(id);
   if (!restarted.ok()) {
     // The reboot failed (e.g. the disk fault persists): the node stays
     // down and sheds its leases; surviving replicas keep serving.

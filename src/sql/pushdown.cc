@@ -428,8 +428,6 @@ StatusOr<std::vector<kv::MvccScanEntry>> EvaluatePushdownFragment(
 }
 
 void InstallPushdownHook(kv::KVCluster* cluster) {
-  cluster->set_scan_pushdown_hook(
-      [](Slice row_value, Slice spec) { return EvaluatePushdown(row_value, spec); });
   cluster->set_scan_fragment_hook([](std::vector<kv::MvccScanEntry> rows, Slice spec) {
     return EvaluatePushdownFragment(std::move(rows), spec);
   });

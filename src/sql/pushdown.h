@@ -109,7 +109,7 @@ StatusOr<std::optional<std::string>> EvaluatePushdown(Slice row_value, Slice spe
 StatusOr<std::vector<kv::MvccScanEntry>> EvaluatePushdownFragment(
     std::vector<kv::MvccScanEntry> rows, Slice spec);
 
-/// Registers both evaluators on a KV cluster. In production SQL and KV
+/// Registers the fragment evaluator on a KV cluster. In production SQL and KV
 /// ship in one binary, so the KV node links the same row codec; this
 /// mirrors that. Idempotent.
 void InstallPushdownHook(kv::KVCluster* cluster);

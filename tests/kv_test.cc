@@ -257,6 +257,38 @@ TEST_F(MvccTest, AnyNewerVersionsProbe) {
   EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "k", "l", {60, 0}, {200, 0}));
 }
 
+TEST_F(MvccTest, AnyNewerVersionsSkipsOlderHistoryButNotNextKey) {
+  // Blooms over logical MVCC keys, as on every KV node, so single-key
+  // probes may reject tables by prefix.
+  storage::EngineOptions options;
+  options.prefix_extractor = MvccPrefixExtractor;
+  engine_ = std::move(storage::Engine::Open(options)).value();
+  // Long histories below `after` on the first keys; once a key's version
+  // is at or below `after` the probe jumps to the next key, which must
+  // still be examined (its versions above `upto` first).
+  for (int ts = 1; ts <= 20; ++ts) {
+    PutValue("a", {ts, 0}, "v");
+    PutValue("a2", {ts, 0}, "v");
+  }
+  PutIntent("b", 42, {90, 0}, "provisional");
+  PutValue("b", {80, 0}, "v");
+  PutValue("b", {45, 0}, "v");
+  PutValue("c", {5, 0}, "v");
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "a", "d", {30, 0}, {50, 0}));
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "a", "d", {45, 0}, {70, 0}));
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "a", "d", {10, 0}, {15, 0}));
+  // Single-key spans [k, k\0) probe the key's blooms, before and after
+  // the versions reach an SSTable.
+  const std::string b_end("b\0", 2);
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "b", b_end, {30, 0}, {50, 0}));
+    EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "b", b_end, {45, 0}, {70, 0}));
+    EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "c", std::string("c\0", 2),
+                                       {5, 0}, {100, 0}));
+    ASSERT_TRUE(engine_->Flush().ok());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TxnRegistry
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // pipelined/parallel commit paths produce identical committed state.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -16,10 +18,12 @@
 #include "common/random.h"
 #include "kv/cluster.h"
 #include "kv/keys.h"
+#include "kv/mvcc.h"
 #include "kv/timestamp.h"
 #include "kv/timestamp_oracle.h"
 #include "kv/transaction.h"
 #include "kv/txn.h"
+#include "obs/metrics.h"
 #include "storage/background.h"
 
 namespace veloce::kv {
@@ -241,6 +245,38 @@ TEST_F(TxnRegistryStagingTest, CommitFinalizesStagedRecord) {
   EXPECT_TRUE(registry_.Commit(rec.id, {100, 5}).ok());
 }
 
+TEST_F(TxnRegistryStagingTest, CommitRefusesRecordThatMovedSinceRead) {
+  // Commit races a concurrent push or re-stage once the cluster no longer
+  // serializes them: committing at a timestamp read before the record
+  // moved must be refused, not silently land below the push.
+  const TxnRecord pending = registry_.Begin({100, 0}, 0);
+  const PushResult pr =
+      registry_.Push(pending.id, 0, TxnRegistry::PushType::kTimestamp, {150, 0});
+  ASSERT_TRUE(pr.pushed);
+  EXPECT_TRUE(registry_.Commit(pending.id, {100, 0}).IsTransactionRetry());
+  EXPECT_EQ(registry_.Get(pending.id)->status, TxnStatus::kPending);
+  EXPECT_TRUE(registry_.Commit(pending.id, (Timestamp{150, 0}).Next()).ok());
+
+  const TxnRecord staged = registry_.Begin({100, 0}, 0);
+  ASSERT_TRUE(registry_.Stage(staged.id, {110, 0}, {"a"}).ok());
+  ASSERT_TRUE(registry_.Stage(staged.id, {120, 0}, {"a"}).ok());  // re-staged
+  EXPECT_TRUE(registry_.Commit(staged.id, {110, 0}).IsTransactionRetry());
+  EXPECT_TRUE(registry_.Commit(staged.id, {120, 0}).ok());
+}
+
+TEST_F(TxnRegistryStagingTest, RecoveryAbortRefusesReStagedRecord) {
+  // Recovery checked the commit condition of the staging it read; a
+  // re-stage since then declared a new one, which the check says nothing
+  // about.
+  const TxnRecord rec = registry_.Begin({100, 0}, 0);
+  ASSERT_TRUE(registry_.Stage(rec.id, {110, 0}, {"a"}).ok());
+  ASSERT_TRUE(registry_.Stage(rec.id, {120, 0}, {"a"}).ok());
+  EXPECT_TRUE(registry_.Abort(rec.id, Timestamp{110, 0}).IsTransactionRetry());
+  EXPECT_EQ(registry_.Get(rec.id)->status, TxnStatus::kStaging);
+  EXPECT_TRUE(registry_.Abort(rec.id, Timestamp{120, 0}).ok());
+  EXPECT_EQ(registry_.Get(rec.id)->status, TxnStatus::kAborted);
+}
+
 TEST_F(TxnRegistryStagingTest, GcCollectsFinalizedButNeverStaging) {
   const TxnRecord committed = registry_.Begin({100, 0}, 0);
   const TxnRecord aborted = registry_.Begin({100, 0}, 0);
@@ -440,6 +476,153 @@ TEST_F(TxnRecoveryTest, GcSweepCommitsExpiredImplicitlyCommittedStaging) {
 }
 
 // ---------------------------------------------------------------------------
+// Races with staging recovery, which runs with no range latch held
+// ---------------------------------------------------------------------------
+
+/// Manual clock that, once armed, runs a hook on another thread at the
+/// first clock read after a staging recovery began. The recovering thread
+/// holds no range latch at that read, so the hook plays a concurrent
+/// client slipping into the window the recovery leaves open.
+class RecoveryWindowClock final : public Clock {
+ public:
+  explicit RecoveryWindowClock(Nanos start) : manual_(start) {}
+
+  Nanos Now() const override {
+    if (armed_.load(std::memory_order_acquire) &&
+        recoveries_->value() > baseline_ && !fired_.exchange(true)) {
+      std::thread(hook_).join();
+    }
+    return manual_.Now();
+  }
+
+  void Advance(Nanos delta) { manual_.Advance(delta); }
+  void Arm(const obs::Counter* recoveries, std::function<void()> hook) {
+    recoveries_ = recoveries;
+    baseline_ = recoveries->value();
+    hook_ = std::move(hook);
+    armed_.store(true, std::memory_order_release);
+  }
+  bool fired() const { return fired_.load(); }
+
+ private:
+  ManualClock manual_;
+  const obs::Counter* recoveries_ = nullptr;
+  uint64_t baseline_ = 0;
+  std::function<void()> hook_;
+  std::atomic<bool> armed_{false};
+  mutable std::atomic<bool> fired_{false};
+};
+
+class TxnRecoveryRaceTest : public ::testing::Test {
+ protected:
+  TxnRecoveryRaceTest() : clock_(10 * kSecond) {
+    KVClusterOptions opts;
+    opts.num_nodes = 3;
+    opts.replication_factor = 3;
+    opts.clock = &clock_;
+    // Keep the closed timestamp below every txn here, so a late write is
+    // not forwarded by it and can land exactly at the staged timestamp.
+    opts.closed_timestamp_interval = kHour;
+    cluster_ = std::make_unique<KVCluster>(opts);
+    VELOCE_CHECK_OK(cluster_->CreateTenantKeyspace(10));
+  }
+
+  std::string Key(const std::string& k) { return AddTenantPrefix(10, k); }
+
+  StatusOr<BatchResponse> WriteIntents(const TxnRecord& rec,
+                                       const std::vector<std::string>& keys,
+                                       const std::string& value) {
+    BatchRequest req;
+    req.tenant_id = 10;
+    req.ts = rec.read_ts;
+    req.txn_id = rec.id;
+    req.txn_priority = rec.priority;
+    for (const auto& k : keys) req.AddPut(Key(k), value);
+    return cluster_->Send(req);
+  }
+
+  std::optional<IntentMeta> IntentOn(const std::string& k) {
+    const NodeId lh = cluster_->LookupRange(Key(k))->leaseholder;
+    return *MvccGetIntent(cluster_->node(lh)->engine(), Key(k));
+  }
+
+  void ArmRecoveryWindow(std::function<void()> hook) {
+    clock_.Arm(cluster_->txn_metrics().recoveries, std::move(hook));
+  }
+
+  RecoveryWindowClock clock_;
+  std::unique_ptr<KVCluster> cluster_;
+};
+
+TEST_F(TxnRecoveryRaceTest, WriteGroupRechecksEveryKeyAfterRecovery) {
+  // S died mid-parallel-commit: its intent on b is staged, c never landed.
+  const TxnRecord s = cluster_->BeginTxn();
+  ASSERT_TRUE(WriteIntents(s, {"b"}, "s").ok());
+  Timestamp staged;
+  ASSERT_TRUE(cluster_->StageTxn(s.id, {Key("b"), Key("c")}, &staged).ok());
+  clock_.Advance(TxnRegistry::kExpiration + kSecond);
+
+  // P writes {a, b} as one pipelined group: a is clear, b sends P into
+  // recovery of S with the range latch released. F lays an intent on a in
+  // that window. P must see it when it re-takes the latch, not write over
+  // it (the intent slot holds one txn, so F's write would be lost).
+  const TxnRecord f = cluster_->BeginTxn();
+  const TxnRecord p = cluster_->BeginTxn();
+  ArmRecoveryWindow([&] { EXPECT_TRUE(WriteIntents(f, {"a"}, "f").ok()); });
+  const Status sent = WriteIntents(p, {"a", "b"}, "p").status();
+  ASSERT_TRUE(clock_.fired());
+  EXPECT_EQ(cluster_->txn_registry()->Get(s.id)->status, TxnStatus::kAborted);
+
+  // Equal priorities: P cannot abort the live F, so it backs off.
+  EXPECT_TRUE(sent.IsWriteIntentError()) << sent.ToString();
+  EXPECT_EQ(cluster_->txn_registry()->Get(f.id)->status, TxnStatus::kPending);
+  const std::optional<IntentMeta> on_a = IntentOn("a");
+  ASSERT_TRUE(on_a.has_value());
+  EXPECT_EQ(on_a->txn_id, f.id);
+  Timestamp committed;
+  ASSERT_TRUE(cluster_->CommitTxn(f.id, {Key("a")}, &committed).ok());
+  BatchRequest read;
+  read.tenant_id = 10;
+  read.ts = cluster_->Now();
+  read.AddGet(Key("a"));
+  auto resp = cluster_->Send(read);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->responses[0].value, "f");
+}
+
+TEST_F(TxnRecoveryRaceTest, LateWriteLandingDuringRecoveryCommitsOrIsFenced) {
+  // S staged {a, b} but only a landed before its coordinator stalled past
+  // expiration. A GC sweep recovers S while S's pipelined write to b,
+  // still in flight, lands at the staged timestamp. If that write lands
+  // at or below staged_ts the coordinator acks the commit, so recovery
+  // must then commit S too; it may only abort S if it fenced b first.
+  const TxnRecord s = cluster_->BeginTxn();
+  ASSERT_TRUE(WriteIntents(s, {"a"}, "va").ok());
+  Timestamp staged;
+  ASSERT_TRUE(cluster_->StageTxn(s.id, {Key("a"), Key("b")}, &staged).ok());
+  clock_.Advance(TxnRegistry::kExpiration + kSecond);
+
+  StatusOr<BatchResponse> late = Status::Internal("late write never ran");
+  ArmRecoveryWindow([&] { late = WriteIntents(s, {"b"}, "vb"); });
+  (void)cluster_->GarbageCollectTxns();
+  ASSERT_TRUE(clock_.fired());
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  const Timestamp landed_at = late->bumped_write_ts.IsEmpty() ? s.read_ts
+                                                              : late->bumped_write_ts;
+  const StatusOr<TxnRecord> after = cluster_->txn_registry()->Get(s.id);
+  if (landed_at <= staged) {
+    // The coordinator acks here: S must be committed, at staged.
+    ASSERT_TRUE(after.ok()) << "S was aborted and reaped";
+    EXPECT_EQ(after->status, TxnStatus::kCommitted);
+    EXPECT_EQ(after->write_ts, staged);
+  } else {
+    // Fenced: the write moved above staged_ts, so S cannot be committed
+    // by it and its coordinator would refresh and re-stage instead.
+    EXPECT_TRUE(!after.ok() || after->status == TxnStatus::kAborted);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Coordinator paths: span coalescing, telemetry, pipelining, differential
 // ---------------------------------------------------------------------------
 
@@ -516,6 +699,42 @@ TEST_F(TxnPathTest, OracleObservesAcknowledgedCommits) {
   // above the commit timestamp, or it would miss the committed write.
   const TxnRecord next = cluster_->BeginTxn();
   EXPECT_GT(next.read_ts, txn.commit_ts());
+}
+
+TEST_F(TxnPathTest, RacingReadModifyWritesCannotLoseAnUpdate) {
+  // T2 begins first (R2 < R1); both read k; T2 writes and commits by 1PC;
+  // then T1 writes k and commits. If T1 committed, T2's update would be
+  // lost. There is no write-too-old check: what refuses T1 is the
+  // timestamp cache — T1's own read at R1 pushes its write above R1, and
+  // the refresh that push forces finds T2's commit. This pins the outcome
+  // for any later change to the cache (e.g. making it txn-aware).
+  const std::string k = Key("lost-update");
+  {
+    Transaction init(cluster_.get(), 10);
+    ASSERT_TRUE(init.Put(k, "0").ok());
+    ASSERT_TRUE(init.Commit().ok());
+  }
+  Transaction t2(cluster_.get(), 10);
+  Transaction t1(cluster_.get(), 10);
+  ASSERT_LT(t2.read_ts(), t1.read_ts());
+  std::optional<std::string> v1, v2;
+  ASSERT_TRUE(t1.Get(k, &v1).ok());
+  ASSERT_TRUE(t2.Get(k, &v2).ok());
+  ASSERT_EQ(v1, "0");
+  ASSERT_EQ(v2, "0");
+  const double one_pc_before = CommitCount("1pc");
+  ASSERT_TRUE(t2.Put(k, "t2").ok());
+  ASSERT_TRUE(t2.Commit().ok());
+  EXPECT_EQ(CommitCount("1pc"), one_pc_before + 1);
+  ASSERT_TRUE(t1.Put(k, "t1").ok());
+  const Status s = t1.Commit();
+  EXPECT_TRUE(s.IsTransactionRetry() || s.code() == Code::kTransactionAborted)
+      << s.ToString();
+  Transaction reader(cluster_.get(), 10);
+  std::optional<std::string> now;
+  ASSERT_TRUE(reader.Get(k, &now).ok());
+  EXPECT_EQ(now, "t2");
+  ASSERT_TRUE(reader.Commit().ok());
 }
 
 TEST_F(TxnPathTest, PipelinedFlushesProveBeforeParallelCommit) {
