@@ -1,6 +1,7 @@
 #include "kv/cluster.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -477,11 +478,15 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, Latch* latch,
         return Status::NotSupported("scan pushdown requested but no hook registered");
       }
       VELOCE_ASSIGN_OR_RETURN(
-          std::vector<MvccScanEntry> kept,
-          fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
-      for (auto& e : kept) out->rows.push_back(std::move(e));
+          res.entries, fragment_hook_(std::move(res.entries), Slice(r.pushdown)));
+    }
+    if (out->rows.empty()) {
+      out->rows = std::move(res.entries);  // the common single-range case
     } else {
-      for (auto& e : res.entries) out->rows.push_back(std::move(e));
+      // insert, not reserve + push: a scan over many small ranges must keep
+      // the vector's geometric growth.
+      out->rows.insert(out->rows.end(), std::make_move_iterator(res.entries.begin()),
+                       std::make_move_iterator(res.entries.end()));
     }
     if (!res.resume_key.empty()) {
       out->resume_key = res.resume_key;  // limit reached

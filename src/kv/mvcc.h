@@ -28,6 +28,18 @@ namespace veloce::kv {
 ///   kTombstone: empty
 ///   kIntent:    txn_id u64 | ts | tombstone u8 | value bytes
 ///
+/// Read loop (MvccGet, MvccScan): each engine key is split in place into its
+/// escaped user key and 12-byte timestamp slot, and format-checked; a
+/// malformed key the reader visits is Corruption. The escaping is injective
+/// and order-preserving, so slots of one logical key are told apart by
+/// comparing escaped bytes, and the user key is decoded only once per
+/// returned row. A point read returns at the first slot that decides it (own
+/// intent, conflicting intent, or newest version at or below the read
+/// timestamp). A scan that has read a key steps over at most eight more of
+/// its slots, then seeks to PrefixEnd(escaped), so a hot key's long version
+/// chain costs one seek instead of a walk (as MvccAnyNewerVersions does).
+/// Versions above the read timestamp are still stepped over one by one.
+///
 /// Transaction records live in the cluster's TxnRegistry (see txn.h); MVCC
 /// here only reads/writes versioned data and intents.
 

@@ -142,6 +142,13 @@ StatusOr<kv::BatchResponse> KvConnector::SendPrefixed(const kv::BatchRequest& re
   // both ways, plus the per-byte integrity/framing work a real transport
   // does (pgwire over TLS / gRPC checksums every record). The marshaling
   // CPU stays on the SQL side of the boundary.
+  //
+  // The per-byte part of this cost is the table-driven crc32c (~340 MB/s
+  // on a 4-vCPU Xeon), and Fig 6's Q1 ratio is calibrated against it. An
+  // SSE4.2 crc32c (~7.5 GB/s on the same host) halved htap-scan's Q1-lite
+  // p50 but dropped Fig 6's Q1 ratio from ~2.7x to 1.3-1.8x, erasing the
+  // paper's result. Do not accelerate crc32c without recalibrating this
+  // model (EXPERIMENTS.md, methodology notes).
   Nanos marshal_cpu = 0;
   Nanos kv_cpu = 0;
   uint64_t marshaled = 0;

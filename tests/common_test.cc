@@ -224,6 +224,59 @@ TEST(CodecTest, OrderedStringPreservesOrder) {
   }
 }
 
+TEST(CodecTest, OrderedStringGoldenBytes) {
+  // The escaped form is part of every stored MVCC key: it must never change.
+  struct Golden {
+    std::string in;
+    std::string out;
+  };
+  const Golden cases[] = {
+      {"", std::string("\x00\x01", 2)},
+      {"ab", std::string("ab\x00\x01", 4)},
+      {std::string("\x00", 1), std::string("\x00\xFF\x00\x01", 4)},
+      {std::string("\x01", 1), std::string("\x01\x00\x01", 3)},
+      {std::string("\xFF", 1), std::string("\xFF\x00\x01", 3)},
+      {std::string("a\x00\x00z", 4), std::string("a\x00\xFF\x00\xFFz\x00\x01", 8)},
+      {std::string("\x00\x01\xFF\x00", 4),
+       std::string("\x00\xFF\x01\xFF\x00\xFF\x00\x01", 8)},
+  };
+  for (const auto& c : cases) {
+    std::string buf = "pre";  // appends after existing bytes
+    OrderedPutString(&buf, c.in);
+    EXPECT_EQ(buf, "pre" + c.out);
+    Slice in(c.out);
+    std::string got = "stale";
+    ASSERT_TRUE(OrderedGetString(&in, &got));
+    EXPECT_EQ(got, c.in);
+    EXPECT_TRUE(in.empty());
+  }
+}
+
+TEST(CodecTest, OrderedStringRejectsMalformedEscapes) {
+  const std::string cases[] = {
+      "",                                   // empty: no terminator
+      "abc",                                // no terminator
+      std::string("ab\x00", 3),             // truncated escape at the end
+      std::string("a\x00\xFF", 3),          // escaped 0x00, then no terminator
+      std::string("a\x00\x02\x00\x01", 5),  // bad escape byte
+      std::string("\x00\x00\x00\x01", 4),   // 0x00 followed by 0x00
+      std::string("a\x00\xFE\x00\x01", 5),  // bad escape byte (0xFE)
+  };
+  for (const auto& c : cases) {
+    Slice in(c);
+    std::string got;
+    EXPECT_FALSE(OrderedGetString(&in, &got)) << testing::PrintToString(c);
+    EXPECT_EQ(in.size(), c.size()) << "input consumed on failure";
+  }
+  // Only the first terminator ends the string; trailing bytes stay unread.
+  const std::string two("a\x00\x01" "b\x00\x01", 6);
+  Slice in(two);
+  std::string got;
+  ASSERT_TRUE(OrderedGetString(&in, &got));
+  EXPECT_EQ(got, "a");
+  EXPECT_EQ(in.ToString(), std::string("b\x00\x01", 3));
+}
+
 TEST(CodecTest, OrderedStringIsSelfDelimiting) {
   // A string component followed by an int component must parse back exactly.
   std::string buf;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "common/logging.h"
@@ -287,6 +288,301 @@ TEST_F(MvccTest, AnyNewerVersionsSkipsOlderHistoryButNotNextKey) {
                                        {5, 0}, {100, 0}));
     ASSERT_TRUE(engine_->Flush().ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// MVCC readers against a reference model
+// ---------------------------------------------------------------------------
+
+// The versions and intent of every logical key, kept in a std::map. Reads are
+// evaluated by the rules in mvcc.h, independently of the engine encoding.
+class MvccModel {
+ public:
+  struct Intent {
+    TxnId txn = 0;
+    Timestamp ts;
+    bool tombstone = false;
+    std::string value;
+  };
+  struct Key {
+    std::map<Timestamp, std::optional<std::string>> versions;  // nullopt: tombstone
+    std::optional<Intent> intent;
+  };
+
+  std::map<std::string, Key> keys;
+
+  MvccGetResult Get(const std::string& key, Timestamp ts, TxnId own) const {
+    MvccGetResult r;
+    auto k = keys.find(key);
+    if (k == keys.end()) return r;
+    const auto& intent = k->second.intent;
+    if (intent.has_value()) {
+      if (own != 0 && intent->txn == own) {
+        if (!intent->tombstone) r.value = intent->value;
+        return r;
+      }
+      if (intent->ts <= ts) {
+        r.conflict = IntentMeta{intent->txn, intent->ts};
+        return r;
+      }
+    }
+    const auto& versions = k->second.versions;
+    auto v = versions.upper_bound(ts);  // first version above ts
+    if (v != versions.begin()) r.value = std::prev(v)->second;
+    return r;
+  }
+
+  MvccScanResult Scan(const std::string& start, const std::string& end, Timestamp ts,
+                      uint64_t limit, TxnId own) const {
+    MvccScanResult r;
+    for (auto k = keys.lower_bound(start);
+         k != keys.end() && (end.empty() || k->first < end); ++k) {
+      if (k->second.versions.empty() && !k->second.intent.has_value()) continue;
+      if (limit != 0 && r.entries.size() >= limit) {
+        r.resume_key = k->first;
+        break;
+      }
+      MvccGetResult g = Get(k->first, ts, own);
+      if (g.conflict.has_value()) {
+        r.conflict = g.conflict;
+        break;
+      }
+      if (g.value.has_value()) r.entries.push_back({k->first, *g.value});
+    }
+    return r;
+  }
+};
+
+std::string Printable(const std::string& s) {
+  std::string out;
+  for (unsigned char c : s) {
+    static const char kHex[] = "0123456789abcdef";
+    out += "\\x";
+    out += kHex[c >> 4];
+    out += kHex[c & 15];
+  }
+  return out;
+}
+
+void ExpectSameGet(const MvccGetResult& got, const MvccGetResult& want,
+                   const std::string& where) {
+  EXPECT_EQ(got.value, want.value) << where;
+  ASSERT_EQ(got.conflict.has_value(), want.conflict.has_value()) << where;
+  if (want.conflict.has_value()) {
+    EXPECT_EQ(got.conflict->txn_id, want.conflict->txn_id) << where;
+    EXPECT_EQ(got.conflict->ts, want.conflict->ts) << where;
+  }
+}
+
+void ExpectSameScan(const MvccScanResult& got, const MvccScanResult& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+  for (size_t i = 0; i < want.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i].key, want.entries[i].key) << where << " row " << i;
+    EXPECT_EQ(got.entries[i].value, want.entries[i].value) << where << " row " << i;
+  }
+  EXPECT_EQ(got.resume_key, want.resume_key) << where;
+  ASSERT_EQ(got.conflict.has_value(), want.conflict.has_value()) << where;
+  if (want.conflict.has_value()) {
+    EXPECT_EQ(got.conflict->txn_id, want.conflict->txn_id) << where;
+    EXPECT_EQ(got.conflict->ts, want.conflict->ts) << where;
+  }
+}
+
+class MvccDifferentialTest : public MvccTest {
+ protected:
+  void SetUp() override {
+    // Bloom filters over logical keys, as on every KV node.
+    storage::EngineOptions options;
+    options.prefix_extractor = MvccPrefixExtractor;
+    engine_ = std::move(storage::Engine::Open(options)).value();
+  }
+
+  void WriteVersion(const std::string& key, Timestamp ts,
+                    const std::optional<std::string>& value) {
+    if (value.has_value()) {
+      PutValue(key, ts, *value);
+    } else {
+      PutTombstone(key, ts);
+    }
+    model_.keys[key].versions[ts] = value;
+  }
+
+  void WriteIntent(const std::string& key, TxnId txn, Timestamp ts, bool tombstone,
+                   const std::string& value) {
+    storage::WriteBatch batch;
+    MvccPutIntent(&batch, key, txn, ts, tombstone, value);
+    ASSERT_TRUE(engine_->Write(batch).ok());
+    model_.keys[key].intent = MvccModel::Intent{txn, ts, tombstone, value};
+  }
+
+  // Every key the model holds, plus absent keys that sort between them.
+  void CheckGets(const std::vector<Timestamp>& read_ts,
+                 const std::vector<std::string>& extra_keys) {
+    std::vector<std::string> probe = extra_keys;
+    for (const auto& [key, unused] : model_.keys) probe.push_back(key);
+    for (const auto& key : probe) {
+      for (Timestamp ts : read_ts) {
+        for (TxnId own : {TxnId{0}, TxnId{1}, TxnId{2}}) {
+          auto got = MvccGet(engine_.get(), key, ts, own);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectSameGet(*got, model_.Get(key, ts, own),
+                        "get " + Printable(key) + " @" + ts.ToString() +
+                            " own=" + std::to_string(own));
+        }
+      }
+    }
+  }
+
+  // Scans [start, end) at ts in pages of `limit`, following resume keys.
+  void CheckScan(const std::string& start, const std::string& end, Timestamp ts,
+                 uint64_t limit, TxnId own) {
+    std::string cursor = start;
+    for (int page = 0; page < 1000; ++page) {
+      const std::string where = "scan [" + Printable(cursor) + ", " + Printable(end) +
+                                ") @" + ts.ToString() + " limit=" +
+                                std::to_string(limit) + " own=" + std::to_string(own);
+      auto got = MvccScan(engine_.get(), cursor, end, ts, limit, own);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const MvccScanResult want = model_.Scan(cursor, end, ts, limit, own);
+      ExpectSameScan(*got, want, where);
+      if (want.resume_key.empty() || want.conflict.has_value()) return;
+      cursor = want.resume_key;
+    }
+    FAIL() << "scan did not finish";
+  }
+
+  MvccModel model_;
+};
+
+TEST_F(MvccDifferentialTest, RandomizedReadersMatchModel) {
+  Random rng(20261017);
+  // Keys over an alphabet with the escape-relevant bytes, so escaped forms
+  // of different keys share long prefixes ("\x00" vs "\x00\x01", ...).
+  const char kAlphabet[] = {'\x00', '\x01', 'a', '\xFF'};
+  auto random_key = [&] {
+    std::string k(1 + rng.Uniform(3), '\0');
+    for (char& c : k) c = kAlphabet[rng.Uniform(4)];
+    return k;
+  };
+  auto random_ts = [&] {
+    return Timestamp{static_cast<Nanos>(1 + rng.Uniform(1000)),
+                     static_cast<uint32_t>(rng.Uniform(3))};
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; i < 30; ++i) keys.push_back(random_key());
+
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 400; ++op) {
+      const std::string& key = keys[rng.Uniform(keys.size())];
+      const uint64_t kind = rng.Uniform(100);
+      if (kind < 60) {
+        WriteVersion(key, random_ts(), "v" + std::to_string(rng.Next() % 1000));
+      } else if (kind < 72) {
+        WriteVersion(key, random_ts(), std::nullopt);
+      } else if (kind < 88) {
+        WriteIntent(key, 1 + rng.Uniform(3), random_ts(), rng.Bernoulli(0.2),
+                    std::string("i\x00", 2) + std::to_string(op));
+      } else {
+        // Resolve whatever intent is there: commit or abort.
+        auto& mk = model_.keys[key];
+        if (!mk.intent.has_value()) continue;
+        const bool commit = rng.Bernoulli(0.5);
+        const Timestamp commit_ts = mk.intent->ts.Next();
+        ASSERT_TRUE(
+            MvccResolveIntent(engine_.get(), key, mk.intent->txn, commit, commit_ts).ok());
+        if (commit) {
+          mk.versions[commit_ts] = mk.intent->tombstone
+                                       ? std::nullopt
+                                       : std::optional<std::string>(mk.intent->value);
+        }
+        mk.intent.reset();
+      }
+    }
+    // Alternate between reading from the memtable and across flushed tables.
+    if (round % 2 == 1) {
+      ASSERT_TRUE(engine_->Flush().ok());
+    }
+
+    std::vector<Timestamp> read_ts = {Timestamp{0, 1}, Timestamp{1001, 0}};
+    for (int i = 0; i < 4; ++i) read_ts.push_back(random_ts());
+    CheckGets(read_ts, {"", std::string("\x00\x00\x00\x00", 4), "b", random_key()});
+    for (int i = 0; i < 12; ++i) {
+      std::string start = random_key(), end = random_key();
+      if (end < start) std::swap(start, end);
+      if (i % 4 == 0) end.clear();  // unbounded
+      if (i % 4 == 1) start.clear();
+      const Timestamp ts = read_ts[rng.Uniform(read_ts.size())];
+      CheckScan(start, end, ts, rng.Uniform(5), rng.Uniform(3));
+    }
+  }
+}
+
+TEST_F(MvccDifferentialTest, HotKeysWithLongVersionChains) {
+  // Two hot keys (one with an embedded 0x00, one carrying an intent) between
+  // cold neighbours, so scans must leave each long chain for the next key.
+  const std::string hot = "hot", hot0("hot\x00", 4), hot_intent("hot\x00\x00", 5);
+  WriteVersion("a", {5, 0}, "cold-a");
+  WriteVersion("z", {5, 0}, "cold-z");
+  for (int i = 0; i < 1200; ++i) {
+    const Timestamp ts{100 + 10 * i, 0};
+    WriteVersion(hot, ts, i % 97 == 3 ? std::nullopt
+                                      : std::optional<std::string>("h" + std::to_string(i)));
+    if (i < 1000) WriteVersion(hot0, ts.Next(), "z" + std::to_string(i));
+    if (i < 1100) WriteVersion(hot_intent, ts, "k" + std::to_string(i));
+    if (i == 600) {
+      ASSERT_TRUE(engine_->Flush().ok());  // chains span tables
+    }
+  }
+  WriteIntent(hot_intent, /*txn=*/1, {5000, 0}, false, "provisional");
+
+  const Timestamp newest{100 + 10 * 1199, 0};
+  const Timestamp oldest{100, 0};
+  const std::vector<Timestamp> read_ts = {
+      Timestamp::Max().Prev(), newest, newest.Prev(), {6095, 0}, {6100, 0},
+      {4999, 7},  {5000, 0},  oldest.Next(), oldest, oldest.Prev(), {1, 0}};
+  CheckGets(read_ts, {"hot\x01", std::string("hot\x00\x00\x00", 6)});
+  for (Timestamp ts : read_ts) {
+    for (uint64_t limit : {0, 1, 2}) {
+      for (TxnId own : {TxnId{0}, TxnId{1}}) {
+        CheckScan("", "", ts, limit, own);
+        CheckScan(hot, "z", ts, limit, own);
+      }
+    }
+  }
+}
+
+TEST_F(MvccTest, MalformedVisitedKeysAreCorruption) {
+  const std::string escaped_k = EncodeMvccPrefix("k");
+  auto expect_corrupt = [&](const std::string& bad_key, bool get_visits) {
+    SCOPED_TRACE(Printable(bad_key));
+    engine_ = std::move(storage::Engine::Open({})).value();
+    PutValue("a", {10, 0}, "a");
+    PutValue("k", {30, 0}, "k30");
+    PutValue("k", {20, 0}, "k20");
+    PutValue("z", {10, 0}, "z");
+    ASSERT_TRUE(engine_->Put(bad_key, std::string("\x00v", 2)).ok());
+    auto scan = MvccScan(engine_.get(), "a", "", {40, 0}, 0);
+    EXPECT_EQ(scan.status().code(), Code::kCorruption) << scan.status().ToString();
+    if (get_visits) {
+      auto get = MvccGet(engine_.get(), "k", {40, 0});
+      EXPECT_EQ(get.status().code(), Code::kCorruption) << get.status().ToString();
+    }
+  };
+  // Between "k"'s intent slot and its newest version: the point read visits it.
+  const std::string after_intent = escaped_k + std::string(7, '\0') + "\x01";
+  expect_corrupt(after_intent, /*get_visits=*/true);                 // 8-byte suffix
+  expect_corrupt(after_intent + std::string(5, '\x01'), true);       // 13-byte suffix
+  // A bad escape (0x00 then 0x02) right after the terminator.
+  expect_corrupt(escaped_k + std::string("\x00\x02", 2) + std::string(12, '\x01'), true);
+  // A bad escape (0x00 then 0x02) in a key between "a" and "k".
+  expect_corrupt(std::string("b\x00\x02x\x00\x01", 6) + std::string(12, '\x01'), false);
+  // A 0x00 escaped as {0x00, 0xFF} whose terminator is missing.
+  expect_corrupt(std::string("c\x00\xFF", 3) + std::string(12, '\x02'), false);
+  // Just below "k"'s version at ts 30, i.e. the next slot a scan steps to
+  // after reading it: an 11-byte suffix.
+  const std::string k25 = EncodeMvccKey("k", {25, 0});
+  expect_corrupt(k25.substr(0, k25.size() - 1), false);
 }
 
 // ---------------------------------------------------------------------------
