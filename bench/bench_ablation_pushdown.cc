@@ -10,6 +10,9 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
+#include "common/sysinfo.h"
+#include "scenario/env_builder.h"
 
 namespace veloce {
 namespace {
@@ -20,7 +23,7 @@ struct Run {
 };
 
 Run Measure(sql::ProcessMode mode, bool pushdown) {
-  auto stack = bench::MakeSqlStack(mode);
+  auto stack = scenario::ScenarioEnvBuilder().ProcessMode(mode).BuildSqlStack();
   auto exec = [&](const std::string& sql) {
     auto result = stack->session->Execute(sql);
     VELOCE_CHECK(result.ok()) << result.status().ToString();
@@ -38,7 +41,7 @@ Run Measure(sql::ProcessMode mode, bool pushdown) {
     }
     exec(stmt);
   }
-  bench::ScatterRanges(stack.get(), 1);
+  scenario::ScatterRanges(stack.get(), 1);
   if (pushdown) exec("SET kv_pushdown = on");
 
   const uint64_t marshal0 = stack->node->connector()->marshaled_bytes();

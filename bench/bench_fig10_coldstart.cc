@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "serverless/cluster.h"
 #include "serverless/multiregion.h"
 

@@ -21,7 +21,10 @@
 
 #include "bench/bench_util.h"
 #include "billing/ecpu_model.h"
+#include "common/logging.h"
+#include "common/sysinfo.h"
 #include "kv/keys.h"
+#include "scenario/env_builder.h"
 #include "workload/tpcc.h"
 #include "workload/tpch.h"
 #include "workload/ycsb.h"
@@ -91,7 +94,7 @@ billing::EstimatedCpuModel Calibrate() {
   auto run_config = [](const Config& cfg, sql::ProcessMode mode,
                        billing::IntervalFeatures* features, double* total_cpu,
                        double* sql_cpu) {
-    auto stack = bench::MakeSqlStack(mode);
+    auto stack = scenario::ScenarioEnvBuilder().ProcessMode(mode).BuildSqlStack();
     sql::KvConnector* connector = stack->node->connector();
     Random rng(3);
     if (!cfg.write) {
@@ -318,7 +321,9 @@ int main() {
     // Actual: dedicated (colocated) run.
     double actual;
     {
-      auto dedicated = bench::MakeSqlStack(sql::ProcessMode::kColocated);
+      auto dedicated = scenario::ScenarioEnvBuilder()
+                           .ProcessMode(sql::ProcessMode::kColocated)
+                           .BuildSqlStack();
       const Nanos cpu0 = ThreadCpuNanos();
       workload.run(dedicated->session);
       actual = static_cast<double>(ThreadCpuNanos() - cpu0) / 1e9;
@@ -326,7 +331,9 @@ int main() {
     // Estimated: serverless run; SQL CPU measured, KV CPU modeled.
     double estimated;
     {
-      auto serverless = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+      auto serverless = scenario::ScenarioEnvBuilder()
+                            .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                            .BuildSqlStack();
       sql::KvConnector* connector = serverless->node->connector();
       const Nanos cpu0 = ThreadCpuNanos();
       const Nanos kv0 = connector->kv_cpu_nanos();

@@ -14,8 +14,10 @@
 
 #include "bench/bench_util.h"
 #include "billing/ecpu_model.h"
+#include "common/logging.h"
 #include "common/sysinfo.h"
 #include "kv/keys.h"
+#include "scenario/env_builder.h"
 
 namespace veloce {
 namespace {
@@ -26,7 +28,7 @@ struct SweepPoint {
   double batches_per_vcpu;  // batches one vCPU sustains at this shape
 };
 
-SweepPoint MeasureBatchShape(bench::SqlStack* stack, int requests_per_batch,
+SweepPoint MeasureBatchShape(scenario::SqlStack* stack, int requests_per_batch,
                              int total_rows, uint64_t* key_counter) {
   Random rng(42);
   const int batches = total_rows / requests_per_batch;
@@ -60,7 +62,9 @@ SweepPoint MeasureBatchShape(bench::SqlStack* stack, int requests_per_batch,
 int main() {
   using namespace veloce;
   bench::PrintHeader("Fig 5: write batches per second vs CPU usage");
-  auto stack = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+  auto stack = scenario::ScenarioEnvBuilder()
+                   .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                   .BuildSqlStack();
 
   // Sweep batch sizes from 256 rows/batch (few big batches) to 1 row/batch
   // (many small batches) at a fixed total row count.

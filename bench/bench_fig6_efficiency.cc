@@ -19,6 +19,9 @@
 
 #include "bench/bench_util.h"
 #include "common/histogram.h"
+#include "common/logging.h"
+#include "common/sysinfo.h"
+#include "scenario/env_builder.h"
 #include "workload/tpcc.h"
 #include "workload/tpch.h"
 
@@ -30,7 +33,7 @@ struct Measurement {
   Histogram latency;
 };
 
-Measurement RunTpcc(bench::SqlStack* stack, int txns) {
+Measurement RunTpcc(scenario::SqlStack* stack, int txns) {
   workload::TpccWorkload::Options opts;
   opts.warehouses = 2;
   opts.districts_per_warehouse = 2;
@@ -38,7 +41,7 @@ Measurement RunTpcc(bench::SqlStack* stack, int txns) {
   opts.items = 50;
   workload::TpccWorkload tpcc(opts, 7);
   VELOCE_CHECK_OK(tpcc.Setup(stack->session));
-  bench::ScatterRanges(stack, /*num_tables=*/7);
+  scenario::ScatterRanges(stack, /*num_tables=*/7);
   Measurement m;
   const Nanos cpu0 = ThreadCpuNanos();
   for (int i = 0; i < txns; ++i) {
@@ -50,7 +53,7 @@ Measurement RunTpcc(bench::SqlStack* stack, int txns) {
   return m;
 }
 
-Measurement RunTpchQuery(bench::SqlStack* stack, workload::TpchWorkload* tpch,
+Measurement RunTpchQuery(scenario::SqlStack* stack, workload::TpchWorkload* tpch,
                          bool q1, int iterations) {
   Measurement m;
   const Nanos cpu0 = ThreadCpuNanos();
@@ -89,8 +92,12 @@ int main(int argc, char** argv) {
 
   // --- TPC-C ---------------------------------------------------------------
   {
-    auto traditional = bench::MakeSqlStack(sql::ProcessMode::kColocated);
-    auto serverless = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+    auto traditional = scenario::ScenarioEnvBuilder()
+                           .ProcessMode(sql::ProcessMode::kColocated)
+                           .BuildSqlStack();
+    auto serverless = scenario::ScenarioEnvBuilder()
+                          .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                          .BuildSqlStack();
     const int txns = 300;
     Measurement t = RunTpcc(traditional.get(), txns);
     Measurement s = RunTpcc(serverless.get(), txns);
@@ -102,13 +109,17 @@ int main(int argc, char** argv) {
   topts.lineitem_rows = 4000;
   topts.orders = 800;
   {
-    auto traditional = bench::MakeSqlStack(sql::ProcessMode::kColocated);
-    auto serverless = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+    auto traditional = scenario::ScenarioEnvBuilder()
+                           .ProcessMode(sql::ProcessMode::kColocated)
+                           .BuildSqlStack();
+    auto serverless = scenario::ScenarioEnvBuilder()
+                          .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                          .BuildSqlStack();
     workload::TpchWorkload tpch_t(topts, 9), tpch_s(topts, 9);
     VELOCE_CHECK_OK(tpch_t.Setup(traditional->session));
     VELOCE_CHECK_OK(tpch_s.Setup(serverless->session));
-    bench::ScatterRanges(traditional.get(), /*num_tables=*/6);
-    bench::ScatterRanges(serverless.get(), /*num_tables=*/6);
+    scenario::ScatterRanges(traditional.get(), /*num_tables=*/6);
+    scenario::ScatterRanges(serverless.get(), /*num_tables=*/6);
     Measurement tq1 = RunTpchQuery(traditional.get(), &tpch_t, true, 10);
     Measurement sq1 = RunTpchQuery(serverless.get(), &tpch_s, true, 10);
     PrintRow("TPC-H Q1", tq1, sq1);

@@ -11,9 +11,15 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
+#include "common/sysinfo.h"
+#include "kv/cluster.h"
+#include "sql/sql_node.h"
+#include "tenant/controller.h"
 
 namespace veloce {
 namespace {

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "serverless/cluster.h"
 #include "workload/load_pattern.h"
 

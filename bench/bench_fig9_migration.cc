@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "serverless/cluster.h"
 
 int main() {

@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "kv/keys.h"
+#include "scenario/env_builder.h"
 #include "sql/parser.h"
 #include "storage/engine.h"
 
@@ -116,7 +118,9 @@ void BM_SqlParse(benchmark::State& state) {
 BENCHMARK(BM_SqlParse);
 
 void BM_SqlPointSelect(benchmark::State& state) {
-  auto stack = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+  auto stack = scenario::ScenarioEnvBuilder()
+                   .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                   .BuildSqlStack();
   VELOCE_CHECK(stack->session->Execute("CREATE TABLE t (id INT PRIMARY KEY, v STRING)").ok());
   for (int i = 0; i < 1000; ++i) {
     VELOCE_CHECK(stack->session->Execute(
@@ -132,7 +136,9 @@ void BM_SqlPointSelect(benchmark::State& state) {
 BENCHMARK(BM_SqlPointSelect);
 
 void BM_SqlInsert(benchmark::State& state) {
-  auto stack = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+  auto stack = scenario::ScenarioEnvBuilder()
+                   .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                   .BuildSqlStack();
   VELOCE_CHECK(stack->session->Execute("CREATE TABLE t (id INT PRIMARY KEY, v STRING)").ok());
   uint64_t i = 0;
   for (auto _ : state) {

@@ -24,7 +24,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "common/random.h"
+#include "common/sysinfo.h"
+#include "scenario/env_builder.h"
 #include "scenario/report.h"
 
 namespace veloce {
@@ -56,7 +59,7 @@ const char* kJoin =
     "JOIN supplier s ON l.suppgrp = s.grp AND s.active = 1 "
     "WHERE l.qty > 45.0";
 
-void Populate(bench::SqlStack* stack) {
+void Populate(scenario::SqlStack* stack) {
   auto exec = [&](const std::string& sql) {
     auto result = stack->session->Execute(sql);
     VELOCE_CHECK(result.ok()) << result.status().ToString();
@@ -95,10 +98,10 @@ void Populate(bench::SqlStack* stack) {
     }
     exec(stmt);
   }
-  bench::ScatterRanges(stack, 2);
+  scenario::ScatterRanges(stack, 2);
 }
 
-sql::ResultSet Exec(bench::SqlStack* stack, const std::string& sql) {
+sql::ResultSet Exec(scenario::SqlStack* stack, const std::string& sql) {
   auto result = stack->session->Execute(sql);
   VELOCE_CHECK(result.ok()) << sql << ": " << result.status().ToString();
   return std::move(result).value();
@@ -120,7 +123,7 @@ bool SameResults(const sql::ResultSet& a, const sql::ResultSet& b) {
 // engines issue byte-identical scan requests, so the excluded share is the
 // same work on both sides; what remains is decode + expression eval +
 // aggregate/join state — the part the engines actually differ on.
-double OneStatementCpuSeconds(bench::SqlStack* stack, const std::string& sql) {
+double OneStatementCpuSeconds(scenario::SqlStack* stack, const std::string& sql) {
   const Nanos kv0 = stack->node->connector()->kv_cpu_nanos();
   const Nanos cpu0 = ThreadCpuNanos();
   (void)Exec(stack, sql);
@@ -141,7 +144,7 @@ struct EnginePair {
 // per-statement CPU over `iters` runs: the minimum is the standard
 // noise-robust estimator (interference only ever adds time), applied
 // symmetrically to both engines.
-EnginePair MeasureCpuSeconds(bench::SqlStack* stack, const std::string& sql,
+EnginePair MeasureCpuSeconds(scenario::SqlStack* stack, const std::string& sql,
                              int iters) {
   EnginePair best{1e30, 1e30};
   Exec(stack, "SET vectorize = off");
@@ -164,7 +167,9 @@ int main() {
   using namespace veloce;
   bench::PrintHeader("SQL execution: vectorized columnar engine vs row engine");
 
-  auto stack = bench::MakeSqlStack(sql::ProcessMode::kColocated);
+  auto stack = scenario::ScenarioEnvBuilder()
+                   .ProcessMode(sql::ProcessMode::kColocated)
+                   .BuildSqlStack();
   Populate(stack.get());
 
   struct Shape {
@@ -207,7 +212,9 @@ int main() {
 
   // Serverless deployment: the Q1 aggregation fragment pushed below the
   // scan — only partial aggregate states cross the SQL/KV boundary.
-  auto srvls = bench::MakeSqlStack(sql::ProcessMode::kSeparateProcess);
+  auto srvls = scenario::ScenarioEnvBuilder()
+                   .ProcessMode(sql::ProcessMode::kSeparateProcess)
+                   .BuildSqlStack();
   Populate(srvls.get());
   sql::KvConnector* connector = srvls->node->connector();
   sql::ResultSet frag_off_rs = Exec(srvls.get(), kQ1);

@@ -2,45 +2,12 @@
 #define VELOCE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <memory>
 #include <string>
-
-#include "common/logging.h"
-#include "common/sysinfo.h"
-#include "kv/keys.h"
-#include "scenario/env_builder.h"
-#include "sql/row.h"
 
 namespace veloce::bench {
 
-/// The construction logic lives in scenario::ScenarioEnvBuilder so the
-/// benches, the scenario harness, and the integration tests all build
-/// their stacks through one path; these aliases keep the bench-local
-/// names the figure benches were written against.
-using SqlStack = scenario::SqlStack;
-
-inline std::unique_ptr<SqlStack> MakeSqlStack(sql::ProcessMode mode,
-                                              int kv_nodes = 3) {
-  return scenario::ScenarioEnvBuilder()
-      .KvNodes(kv_nodes)
-      .ProcessMode(mode)
-      .BuildSqlStack();
-}
-
-/// Splits the tenant's keyspace at each table boundary and spreads leases
-/// across the KV nodes (see scenario::ScatterRanges).
-inline void ScatterRanges(SqlStack* stack, int num_tables) {
-  scenario::ScatterRanges(stack, num_tables);
-}
-
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-inline std::string FormatMs(Nanos ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e6);
-  return buf;
 }
 
 }  // namespace veloce::bench

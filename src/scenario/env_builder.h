@@ -92,7 +92,7 @@ class ScenarioEnvBuilder {
   /// noisy-neighbor harness substrate).
   KvEnv BuildKv();
 
-  /// Single-tenant SQL-over-KV stack (bench_util.h's MakeSqlStack).
+  /// Single-tenant SQL-over-KV stack (the figure benches' SQL harness).
   std::unique_ptr<SqlStack> BuildSqlStack();
 
  private:

@@ -1,5 +1,8 @@
 #include "storage/background.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace veloce::storage {
 
 ThreadPoolExecutor::ThreadPoolExecutor(int num_threads) {
@@ -53,6 +56,38 @@ void ThreadPoolExecutor::WorkerLoop() {
     --active_;
     if (queue_.empty() && active_ == 0) drain_cv_.notify_all();
   }
+}
+
+void InlineExecutor::Schedule(std::function<void()> fn) {
+  std::lock_guard<std::mutex> l(mu_);
+  queue_.push_back(std::move(fn));
+}
+
+void InlineExecutor::ScheduleAfter(uint64_t /*delay_ns*/, std::function<void()> fn) {
+  std::lock_guard<std::mutex> l(mu_);
+  deferred_.push_back(std::move(fn));
+}
+
+size_t InlineExecutor::RunQueued() {
+  std::unique_lock<std::mutex> l(mu_);
+  // Deferred work posted before this drain is due now; work deferred while
+  // it runs waits for the next one.
+  std::move(deferred_.begin(), deferred_.end(), std::back_inserter(queue_));
+  deferred_.clear();
+  size_t ran = 0;
+  for (; !queue_.empty(); ++ran) {
+    auto fn = std::move(queue_.front());
+    queue_.pop_front();
+    l.unlock();
+    fn();
+    l.lock();
+  }
+  return ran;
+}
+
+size_t InlineExecutor::queue_depth() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return queue_.size() + deferred_.size();
 }
 
 }  // namespace veloce::storage

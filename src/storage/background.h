@@ -13,7 +13,7 @@ namespace veloce::storage {
 
 /// Executes the engine's background work (memtable flushes, compactions).
 ///
-/// Two families of implementations exist:
+/// Three implementations exist:
 ///  * ThreadPoolExecutor — real OS threads; flush and compaction overlap
 ///    foreground writes, which is what the multi-threaded write benches and
 ///    the TSan stress test exercise.
@@ -21,11 +21,10 @@ namespace veloce::storage {
 ///    discrete-event loop, so background work interleaves with simulated
 ///    time deterministically and the paper-figure benches stay
 ///    bit-reproducible.
+///  * InlineExecutor — a FIFO drained by the engine's own callers (below).
 ///
 /// Contract: Schedule() must NOT run `fn` inline on the calling thread (the
-/// engine schedules while holding its mutex). A null executor on the engine
-/// means fully synchronous flush/compaction inside the triggering write —
-/// the legacy deterministic mode.
+/// engine schedules while holding its mutex).
 class BackgroundExecutor {
  public:
   virtual ~BackgroundExecutor() = default;
@@ -87,6 +86,26 @@ class ThreadPoolExecutor final : public BackgroundExecutor {
   size_t active_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> threads_;
+};
+
+/// Mutex-guarded FIFO with no threads: work runs when a caller drains it
+/// with RunQueued(). An engine opened without an executor owns one and
+/// drains it on the caller's thread after each write (once the write has
+/// left the writer queue and dropped the engine mutex) and after Flush().
+/// ScheduleAfter() ignores the delay but defers the task to the next drain,
+/// so a failing flush retries once per later write, not all in one.
+class InlineExecutor final : public BackgroundExecutor {
+ public:
+  void Schedule(std::function<void()> fn) override;
+  void ScheduleAfter(uint64_t delay_ns, std::function<void()> fn) override;
+  bool single_threaded() const override { return true; }
+  size_t RunQueued() override;
+  size_t queue_depth() const override;
+
+ private:
+  mutable std::mutex mu_;
+  std::deque<std::function<void()>> queue_;
+  std::deque<std::function<void()>> deferred_;  ///< due at the next drain
 };
 
 }  // namespace veloce::storage

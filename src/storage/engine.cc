@@ -72,10 +72,14 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
     engine->block_cache_ = std::make_unique<BlockCache>(options.block_cache_bytes,
                                                         options.block_cache_shards);
   }
+  engine->options_.l0_stall_files =
+      std::max(options.l0_stall_files, options.l0_compaction_trigger);
   engine->executor_ = options.background_executor;
-  if (engine->executor_ != nullptr) {
-    engine->bg_token_ = std::make_shared<BgToken>();
+  if (options.background_executor == nullptr) {
+    engine->inline_executor_ = std::make_unique<InlineExecutor>();
+    engine->executor_ = engine->inline_executor_.get();
   }
+  engine->bg_token_ = std::make_shared<BgToken>();
   engine->mem_ = std::make_shared<MemTable>();
   engine->InitMetrics();
   VELOCE_RETURN_IF_ERROR(engine->Recover());
@@ -149,9 +153,7 @@ void Engine::InitMetrics() {
       [this, l0, bg_depth, imm, hits, misses, ratio,
        shard_gauges = std::move(shard_gauges)] {
         l0->Set(NumFilesAtLevel(0));
-        bg_depth->Set(executor_ != nullptr
-                          ? static_cast<double>(executor_->queue_depth())
-                          : 0);
+        bg_depth->Set(static_cast<double>(executor_->queue_depth()));
         imm->Set(static_cast<double>(imm_count_.load(std::memory_order_relaxed)));
         if (block_cache_ != nullptr) {
           const double h = static_cast<double>(block_cache_->hits());
@@ -187,15 +189,13 @@ const EngineStats& Engine::stats() const {
 }
 
 Engine::~Engine() {
-  if (executor_ == nullptr) return;
   {
     std::lock_guard<std::mutex> l(mu_);
     shutting_down_ = true;
   }
   // Taking the token mutex waits out an in-flight background task; queued
   // tasks that run later see !alive and no-op. Anything still buffered in
-  // mem_/imm_ is covered by retained WALs and replays on reopen — the same
-  // crash-consistency contract the synchronous mode has always had.
+  // mem_/imm_ is covered by retained WALs and replays on reopen.
   std::lock_guard<std::mutex> tl(bg_token_->mu);
   bg_token_->alive = false;
 }
@@ -363,17 +363,23 @@ Status Engine::Write(const WriteBatch& batch) {
     } validator;
     VELOCE_RETURN_IF_ERROR(batch.Iterate(&validator));
   }
-  std::unique_lock<std::mutex> l(mu_);
-  if (!options_.group_commit) {
-    return WriteLegacyLocked(l, batch);
+  Status s;
+  {
+    std::unique_lock<std::mutex> l(mu_);
+    Writer w(&batch);
+    writers_.push_back(&w);
+    while (!w.done && &w != writers_.front()) {
+      w.cv.wait(l);
+    }
+    // Done already means a leader committed us as a follower.
+    s = w.done ? w.status : WriteGroupCommit(l, &w);
   }
-  Writer w(&batch);
-  writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) {
-    w.cv.wait(l);
-  }
-  if (w.done) return w.status;  // a leader committed us as a follower
-  return WriteGroupCommit(l, &w);
+  DrainInlineExecutor();
+  return s;
+}
+
+void Engine::DrainInlineExecutor() {
+  if (inline_executor_) inline_executor_->RunQueued();
 }
 
 bool Engine::IsTransientError(const Status& s) {
@@ -414,13 +420,11 @@ Status Engine::HandleForegroundFailureLocked(Status s) {
 Status Engine::Resume() {
   std::unique_lock<std::mutex> l(mu_);
   if (bg_error_.ok()) return Status::OK();
-  if (executor_ != nullptr) {
-    // Degraded mode schedules no new work, but an in-flight task may still
-    // be winding down; quiesce before re-driving the backlog ourselves.
-    while (!writers_.empty() || bg_scheduled_) {
-      WaitWritersIdleLocked(l);
-      WaitBackgroundIdleLocked(l);
-    }
+  // Degraded mode schedules no new work, but an in-flight task may still be
+  // winding down; quiesce before re-driving the backlog ourselves.
+  while (!writers_.empty() || bg_scheduled_) {
+    WaitWritersIdleLocked(l);
+    WaitBackgroundIdleLocked(l);
   }
   // Retry the work that failed. If the fault has not cleared, stay degraded
   // (with the fresh cause) so reads keep working and Resume() can be tried
@@ -440,37 +444,6 @@ Status Engine::Resume() {
   degraded_g_->Set(0);
   VLOG_INFO << "storage: resumed from degraded mode";
   MaybeScheduleBackgroundLocked();
-  return Status::OK();
-}
-
-Status Engine::WriteLegacyLocked(std::unique_lock<std::mutex>& l,
-                                 const WriteBatch& batch) {
-  VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  VELOCE_RETURN_IF_ERROR(MakeRoomForWriteLocked(l));
-  const SequenceNumber base_seq = last_seq_.load(std::memory_order_relaxed) + 1;
-  std::string record;
-  PutFixed64(&record, base_seq);
-  record.append(batch.rep());
-  VELOCE_RETURN_IF_ERROR(wal_->AddRecord(Slice(record)));
-  if (options_.sync_wal) VELOCE_RETURN_IF_ERROR(wal_->Sync());
-  wal_bytes_c_->Inc(record.size() + 8);  // payload + frame header
-  ingest_bytes_c_->Inc(batch.PayloadBytes());
-
-  MemTableInserter inserter(mem_.get(), base_seq);
-  VELOCE_RETURN_IF_ERROR(batch.Iterate(&inserter));  // pre-validated
-  last_seq_.store(base_seq + batch.Count() - 1, std::memory_order_release);
-
-  if (executor_ == nullptr) {
-    if (mem_->ApproximateMemoryUsage() >= options_.memtable_bytes) {
-      // Synchronous mode: a transient flush failure surfaces to this writer
-      // and the (still full) memtable retries on the next write; hard
-      // failures degrade the engine.
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(MaybeCompactLocked()));
-    }
-  } else {
-    MaybeScheduleBackgroundLocked();
-  }
   return Status::OK();
 }
 
@@ -532,14 +505,6 @@ Status Engine::WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w) {
   }
   commit_group_size_h_->Record(static_cast<int64_t>(group_size));
 
-  // Synchronous mode keeps the legacy flush-inside-the-write timing.
-  if (s.ok() && executor_ == nullptr &&
-      mem_->ApproximateMemoryUsage() >= options_.memtable_bytes) {
-    Status fs = FlushMemTableLocked();
-    if (fs.ok()) fs = MaybeCompactLocked();
-    if (!fs.ok()) s = HandleForegroundFailureLocked(std::move(fs));
-  }
-
   // Pop the whole group, waking followers with the shared status.
   while (true) {
     Writer* ready = writers_.front();
@@ -560,7 +525,6 @@ Status Engine::WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w) {
 }
 
 Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
-  if (executor_ == nullptr) return Status::OK();
   Clock* clock = options_.obs.clock_or_real();
   bool stalled = false;
   Nanos stall_start = 0;
@@ -615,7 +579,10 @@ Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
 
 Status Engine::RotateMemtableLocked() {
   // The sealed memtable keeps its WAL: recovery replays WALs in number
-  // order, so a crash before the flush still restores it.
+  // order, so a crash before the flush still restores it. Sync it first:
+  // a crash that tore its unsynced tail while a newer WAL kept records
+  // would recover later writes without earlier ones.
+  VELOCE_RETURN_IF_ERROR(wal_->Sync());
   imm_.push_back(ImmMem{mem_, wal_number_});
   imm_count_.store(imm_.size(), std::memory_order_relaxed);
   mem_ = std::make_shared<MemTable>();
@@ -634,7 +601,7 @@ bool Engine::HasBackgroundWorkLocked() const {
 }
 
 void Engine::MaybeScheduleBackgroundLocked() {
-  if (executor_ == nullptr || shutting_down_ || bg_scheduled_) return;
+  if (shutting_down_ || bg_scheduled_) return;
   if (!bg_error_.ok()) return;
   if (!HasBackgroundWorkLocked()) return;
   bg_scheduled_ = true;
@@ -653,10 +620,11 @@ void Engine::BackgroundWork() {
   std::unique_lock<std::mutex> l(mu_);
   Status s;
   if (!shutting_down_) {
+    const bool unlock = !executor_->single_threaded();
     if (!imm_.empty()) {
-      s = FlushOldestImm(l, /*unlock=*/true);
+      s = FlushOldestImm(l, unlock);
     } else {
-      s = CompactOneStep(&l);
+      s = CompactOneStep(unlock ? &l : nullptr);
     }
   }
   if (!s.ok() && !shutting_down_ && bg_error_.ok()) {
@@ -776,12 +744,6 @@ Status Engine::BuildMemTable(const MemTable& mem, FileMeta* meta) {
 
 Status Engine::Flush() {
   std::unique_lock<std::mutex> l(mu_);
-  if (executor_ == nullptr) {
-    if (mem_->num_entries() == 0) return Status::OK();
-    VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-    return HandleForegroundFailureLocked(MaybeCompactLocked());
-  }
   VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
   // Quiesce: no queued writers (mem_ stable) and no in-flight background
   // task (no concurrent flush of the same sealed memtable). Both waits
@@ -798,6 +760,8 @@ Status Engine::Flush() {
     VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
   }
   MaybeScheduleBackgroundLocked();  // L0 may now be over its trigger
+  l.unlock();
+  DrainInlineExecutor();
   return Status::OK();
 }
 
@@ -826,26 +790,6 @@ uint64_t Engine::MaxBytesForLevel(int level) const {
   return max;
 }
 
-Status Engine::MaybeCompactLocked() {
-  bool did_work = true;
-  while (did_work) {
-    did_work = false;
-    if (static_cast<int>(levels_[0].size()) >= options_.l0_compaction_trigger) {
-      VELOCE_RETURN_IF_ERROR(CompactL0(nullptr));
-      did_work = true;
-      continue;
-    }
-    for (int level = 1; level < kNumLevels - 1; ++level) {
-      if (LevelBytesLocked(level) > MaxBytesForLevel(level)) {
-        VELOCE_RETURN_IF_ERROR(CompactLevel(level, nullptr));
-        did_work = true;
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Status Engine::CompactOneStep(std::unique_lock<std::mutex>* l) {
   if (static_cast<int>(levels_[0].size()) >= options_.l0_compaction_trigger) {
     return CompactL0(l);
@@ -861,15 +805,13 @@ Status Engine::CompactOneStep(std::unique_lock<std::mutex>* l) {
 Status Engine::CompactAll() {
   std::unique_lock<std::mutex> l(mu_);
   VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  if (executor_ != nullptr) {
-    while (!writers_.empty() || bg_scheduled_) {
-      WaitWritersIdleLocked(l);
-      WaitBackgroundIdleLocked(l);
-    }
-    while (!imm_.empty()) {
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
-          FlushOldestImm(l, /*unlock=*/false)));
-    }
+  while (!writers_.empty() || bg_scheduled_) {
+    WaitWritersIdleLocked(l);
+    WaitBackgroundIdleLocked(l);
+  }
+  while (!imm_.empty()) {
+    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
+        FlushOldestImm(l, /*unlock=*/false)));
   }
   VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
   if (!levels_[0].empty()) {

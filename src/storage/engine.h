@@ -26,6 +26,7 @@
 namespace veloce::storage {
 
 class BackgroundExecutor;
+class InlineExecutor;
 
 /// Cumulative counters exposed for admission control's capacity estimation
 /// (Section 5.1.3): the WQ token bucket refill rate is derived from flush
@@ -87,21 +88,18 @@ struct EngineOptions {
 
   // ---- Concurrent write path ----
   /// Runs flushes and compactions off the write path. Not owned; must
-  /// outlive the engine. nullptr = legacy mode: flush/compaction run
-  /// synchronously inside the triggering write (deterministic without any
-  /// event loop, and what the discrete benches used before sim executors).
+  /// outlive the engine. nullptr = the engine owns a private InlineExecutor
+  /// that each write drains before returning, so flush and compaction
+  /// finish inside the triggering write (deterministic without any event
+  /// loop).
   BackgroundExecutor* background_executor = nullptr;
-  /// Group commit: concurrent writers queue, the front writer becomes the
-  /// leader and commits the whole group with one WAL append (+ one Sync)
-  /// outside the engine lock. Off = every write holds the lock across its
-  /// own WAL append, the pre-group-commit behaviour (kept for ablation).
-  bool group_commit = true;
   /// Sync the WAL file on every commit. Group commit amortizes the sync
   /// over the whole group, which is where its multi-writer win comes from.
   bool sync_wal = false;
   /// Sealed memtables allowed to queue for flush before writers stall.
   int max_immutable_memtables = 2;
   /// L0 file count at which writers stall until compaction catches up.
+  /// Never below l0_compaction_trigger: a stall must wait for work that runs.
   int l0_stall_files = 12;
 
   // ---- Fault tolerance (docs/ROBUSTNESS.md) ----
@@ -137,12 +135,12 @@ struct EngineOptions {
 ///    pluggable BackgroundExecutor. Reads merge mem + immutables + levels.
 ///  * Writers stall (with the delay surfaced to admission control) when
 ///    sealed memtables or L0 files pile past their thresholds.
-/// With a null executor all of this degenerates to the legacy synchronous
-/// mode: flush and compaction run inside the triggering write, which keeps
-/// behaviour deterministic with zero wiring.
+/// Without an injected executor the engine owns an InlineExecutor and every
+/// write drains it on its own thread after leaving the writer queue, so the
+/// same seal -> background-flush path finishes before Write returns.
 ///
-/// Thread-safe. One mutex guards engine state; commit I/O and background
-/// table builds run outside it.
+/// Thread-safe. One mutex guards engine state; commit I/O and, on
+/// multi-threaded executors, background table builds run outside it.
 class Engine {
  public:
   /// Opens (and recovers) an engine. If options.env is null the engine owns
@@ -287,19 +285,22 @@ class Engine {
   /// through untouched (the caller's next attempt simply retries).
   Status HandleForegroundFailureLocked(Status s);
 
-  Status WriteLegacyLocked(std::unique_lock<std::mutex>& l, const WriteBatch& batch);
   Status WriteGroupCommit(std::unique_lock<std::mutex>& l, Writer* w);
-  /// Executor mode only: seals a full memtable, stalling first if the
-  /// immutable list or L0 is over its threshold. May release+reacquire `l`;
-  /// the caller must be the front writer (or hold writers idle) so the
-  /// active memtable cannot change underneath it.
+  /// Runs the private inline executor's queued work on the calling thread
+  /// (no-op with an injected executor). Call without mu_ held.
+  void DrainInlineExecutor();
+  /// Seals a full memtable, stalling first if the immutable list or L0 is
+  /// over its threshold. May release+reacquire `l`; the caller must be the
+  /// front writer (or hold writers idle) so the active memtable cannot
+  /// change underneath it.
   Status MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l);
   /// Seals mem_ (+ its WAL) into imm_ and starts a fresh memtable + WAL.
   Status RotateMemtableLocked();
   void MaybeScheduleBackgroundLocked();
   bool HasBackgroundWorkLocked() const;
   /// One unit of background work: flush the oldest sealed memtable, else
-  /// one compaction step. Reschedules itself while work remains.
+  /// one compaction step. Reschedules itself while work remains. Holds mu_
+  /// throughout on single-threaded executors, whose thread may be a writer.
   void BackgroundWork();
   /// Flushes the oldest sealed memtable to L0. When `unlock` is set the
   /// table build runs with `l` released (only safe from the serialized
@@ -314,9 +315,9 @@ class Engine {
   /// Builds one L0/compaction-output SSTable from a memtable.
   Status BuildMemTable(const MemTable& mem, FileMeta* meta);
 
-  // Legacy synchronous flush/compaction (null-executor mode and Recover).
+  /// Flushes the active memtable straight to L0 and starts a fresh WAL
+  /// (Recover, Flush, CompactAll).
   Status FlushMemTableLocked();
-  Status MaybeCompactLocked();
   /// One compaction step if any level is over its trigger.
   Status CompactOneStep(std::unique_lock<std::mutex>* l);
   /// Compacts L0 (all files) + overlapping L1 into L1.
@@ -347,7 +348,8 @@ class Engine {
   std::unique_ptr<Env> owned_env_;
   Env* env_ = nullptr;
   std::unique_ptr<BlockCache> block_cache_;
-  BackgroundExecutor* executor_ = nullptr;
+  BackgroundExecutor* executor_ = nullptr;  ///< injected, or inline_executor_
+  std::unique_ptr<InlineExecutor> inline_executor_;  ///< set when none injected
 
   mutable std::mutex mu_;
   std::shared_ptr<MemTable> mem_;

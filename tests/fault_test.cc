@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -388,6 +389,53 @@ TEST(EngineFaultTest, WalAppendFailureFailsWriteWithoutPoisoningEngine) {
   EXPECT_TRUE(engine->Get("dropped", &value).IsNotFound());
 }
 
+TEST(EngineFaultTest, InlineTransientFlushFailureRetriesOnLaterWrites) {
+  // No injected executor: the private inline executor runs the flush in the
+  // triggering write's drain, under the same transient-retry policy as any
+  // executor. A failing flush never fails the write, and each retry waits
+  // for a later write's drain instead of burning the budget at once.
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get());
+  obs::MetricsRegistry metrics;
+  EngineOptions opts;
+  opts.env = &fault;
+  opts.memtable_bytes = 1 << 10;
+  opts.obs.metrics = &metrics;
+  auto engine = *Engine::Open(opts);
+
+  FaultRule rule;
+  rule.op = FaultOp::kAppend;
+  rule.path_substr = ".sst";
+  rule.count = 2;  // two transient failures, then the disk heals
+  fault.AddRule(rule);
+
+  std::vector<std::string> keys;
+  Random rnd(1);
+  while (engine->NumImmutableMemTables() < 1) {
+    keys.push_back("fill" + std::to_string(keys.size()));
+    ASSERT_TRUE(engine->Put(keys.back(), rnd.String(128)).ok());  // acked
+  }
+  EXPECT_FALSE(engine->degraded());
+  EXPECT_EQ(metrics.Sum("veloce_storage_bg_retries_total"), 1.0);
+  EXPECT_EQ(engine->stats().num_flushes, 0u);
+
+  ASSERT_TRUE(engine->Put("second", "v").ok());  // this drain fails again
+  EXPECT_EQ(metrics.Sum("veloce_storage_bg_retries_total"), 2.0);
+  EXPECT_EQ(engine->NumImmutableMemTables(), 1);
+
+  ASSERT_TRUE(engine->Put("third", "v").ok());  // this drain flushes
+  EXPECT_EQ(engine->NumImmutableMemTables(), 0);
+  EXPECT_EQ(engine->stats().num_flushes, 1u);
+  EXPECT_EQ(metrics.Sum("veloce_storage_bg_retries_total"), 2.0);
+  EXPECT_EQ(metrics.Sum("veloce_storage_degraded_entries_total"), 0.0);
+  EXPECT_FALSE(engine->degraded());
+  keys.insert(keys.end(), {"second", "third"});
+  for (const auto& key : keys) {
+    std::string value;
+    EXPECT_TRUE(engine->Get(key, &value).ok()) << key;
+  }
+}
+
 /// Engine wired to a FaultInjectionEnv and a deterministic SimExecutor, the
 /// harness every degraded-mode test drives.
 struct FaultyEngineFixture {
@@ -591,11 +639,30 @@ std::string ChaosValue(int i) {
                                          static_cast<char>('a' + i % 26));
 }
 
+/// Single-threaded executor whose work never runs: rotated memtables stay
+/// sealed, with their WALs retained, until the engine dies.
+class NeverRunExecutor final : public BackgroundExecutor {
+ public:
+  void Schedule(std::function<void()> fn) override {
+    queue_.push_back(std::move(fn));
+  }
+  bool single_threaded() const override { return true; }
+  size_t RunQueued() override { return 0; }
+  size_t queue_depth() const override { return queue_.size(); }
+
+ private:
+  std::vector<std::function<void()>> queue_;
+};
+
 /// The acked-writes invariant under crash injection: after writing keys
 /// 0..n-1 in order, crashing (dropping unsynced bytes, possibly keeping a
 /// torn tail), and reopening, the recovered state must equal the first K
 /// writes for some K — never a gap, never a corrupt value, and with
-/// sync_wal=true, K == n (every acked write was durable).
+/// sync_wal=true, K == n (every acked write was durable). Half of the
+/// iterations run the engine's own inline executor, so flushes and
+/// compactions land inside the crash window; the other half never run
+/// background work, so the crash strands sealed memtables whose retained
+/// WALs recovery must replay.
 ///
 /// Deterministic and shrinkable: every iteration derives from
 /// VELOCE_CHAOS_SEED + iteration index; to replay one failing iteration,
@@ -605,6 +672,7 @@ TEST(FaultChaosTest, CrashRecoveryPreservesAckedPrefix) {
   const uint64_t iters = EnvOr("VELOCE_CHAOS_ITERS", 500);
   const uint64_t base_seed = EnvOr("VELOCE_CHAOS_SEED", 0xC4A05u);
 
+  uint64_t sealed_crashes = 0;
   for (uint64_t iter = 0; iter < iters; ++iter) {
     const uint64_t seed = base_seed + iter;
     SCOPED_TRACE("chaos iteration " + std::to_string(iter) + " seed " +
@@ -621,8 +689,12 @@ TEST(FaultChaosTest, CrashRecoveryPreservesAckedPrefix) {
     opts.memtable_bytes = 512 + rnd.Uniform(2048);
     opts.l0_compaction_trigger = 2;
     opts.sync_wal = (iter % 2 == 0);
-    opts.group_commit = (iter % 4 < 2);
     opts.block_cache_bytes = 1 << 16;
+    NeverRunExecutor never_run;
+    if (iter % 4 < 2) {
+      opts.background_executor = &never_run;
+      opts.max_immutable_memtables = 1000;  // seal without stalling
+    }
 
     // Crash point: after a pseudo-random number of acked writes.
     const int n = 5 + static_cast<int>(rnd.Uniform(45));
@@ -631,9 +703,12 @@ TEST(FaultChaosTest, CrashRecoveryPreservesAckedPrefix) {
       for (int i = 0; i < n; ++i) {
         ASSERT_TRUE(engine->Put(ChaosKey(i), ChaosValue(i)).ok());
       }
+      if (engine->NumImmutableMemTables() > 0) ++sealed_crashes;
     }  // destroy the engine before rewriting its files
     fault.CrashAndDropUnsynced(/*torn_tail=*/rnd.Uniform(2) == 0);
 
+    // The recovered engine runs its own inline executor either way.
+    opts.background_executor = nullptr;
     auto reopened = Engine::Open(opts);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     auto& engine = *reopened;
@@ -660,6 +735,8 @@ TEST(FaultChaosTest, CrashRecoveryPreservesAckedPrefix) {
     ASSERT_TRUE(engine->Put("post-crash", "ok").ok());
     ASSERT_TRUE(engine->Get("post-crash", &value).ok());
   }
+  // The never-run half must really crash with sealed memtables pending.
+  if (iters >= 16) EXPECT_GT(sealed_crashes, iters / 8);
 }
 
 /// The transactional acked-write invariant under fault injection: commit
