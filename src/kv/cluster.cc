@@ -431,7 +431,7 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, Latch* latch,
       }
       // Follower reads are below the closed timestamp; no writer can land
       // under them, so they need no timestamp-cache entry.
-      if (!follower) range->tscache.RecordRead(r.key, read_ts);
+      if (!follower) range->tscache.RecordRead(r.key, read_ts, req.txn_id);
       out->found = res.value.has_value();
       if (res.value.has_value()) out->value = std::move(*res.value);
       return Status::OK();
@@ -469,7 +469,9 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, Latch* latch,
       break;
     }
     if (!done) return Status::WriteIntentError("too many conflict retries");
-    if (!cur_follower) cur_range->tscache.RecordReadSpan(cursor, scan_end, read_ts);
+    if (!cur_follower) {
+      cur_range->tscache.RecordReadSpan(cursor, scan_end, read_ts, req.txn_id);
+    }
     if (!r.pushdown.empty()) {
       // Filtering / projection / fragment push-down: evaluate at the KV node
       // so filtered rows, projected-away columns, and (for aggregation
@@ -525,11 +527,11 @@ Status KVCluster::ExecuteWritesLocked(RangeState* range, Latch* latch,
   // Foreign intents block writers (write-write conflicts abort or wait).
   VELOCE_RETURN_IF_ERROR(
       ResolveWriteConflictsLocked(range, latch, engine, req, writes, false));
-  // Serializability: never write below a timestamp someone already read at,
-  // nor at or below the closed timestamp (follower reads rely on it). Read
-  // after the conflict loop, which may have released the latch.
+  // Serializability: never write below a timestamp another txn already
+  // read at, nor at or below the closed timestamp (follower reads rely on
+  // it). Read after the conflict loop, which may have released the latch.
   for (const RequestUnion* r : writes) {
-    const Timestamp max_read = range->tscache.MaxReadTimestamp(r->key);
+    const Timestamp max_read = range->tscache.MaxReadTimestamp(r->key, req.txn_id);
     if (ts <= max_read) ts = max_read.Next();
   }
   const Timestamp closed = ClosedTimestamp();
@@ -608,7 +610,7 @@ StatusOr<BatchResponse> KVCluster::ExecuteOnePhaseLocked(const BatchRequest& req
   VELOCE_RETURN_IF_ERROR(
       ResolveWriteConflictsLocked(range, &latch, engine, req, writes, true));
   for (const auto& r : req.requests) {
-    const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key);
+    const Timestamp max_read = range->tscache.MaxReadTimestamp(r.key, req.txn_id);
     if (ts <= max_read) ts = max_read.Next();
   }
   const Timestamp closed = ClosedTimestamp();
@@ -673,7 +675,9 @@ StatusOr<PushResult> KVCluster::RecoverStagedTxnLocked(TxnId id,
   // latch. Once the record expired, a missing key is poisoned in the
   // tscache at staged_ts in the same critical section, so a late pipelined
   // write can no longer land at or below it and satisfy the stale staging
-  // after the check found it missing.
+  // after the check found it missing. The fence is recorded with no owner:
+  // the write it must stop is the staged txn's own, which an entry owned by
+  // that txn would let through.
   bool all_present = true;
   for (const auto& key : rec.in_flight_writes) {
     RangeState* range = LookupRangeLocked(key);
@@ -689,7 +693,7 @@ StatusOr<PushResult> KVCluster::RecoverStagedTxnLocked(TxnId id,
     }
     all_present = false;
     if (!expired) break;
-    range->tscache.RecordRead(key, rec.staged_ts);
+    range->tscache.RecordRead(key, rec.staged_ts, /*txn=*/0);
   }
   // The registry arbitrates races with a concurrent recovery or a re-stage
   // (which declares a new commit condition): when the record moved on since
@@ -1449,11 +1453,12 @@ Status KVCluster::AbortTxn(TxnId id, const std::vector<std::string>& intent_keys
 }
 
 StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice end,
-                                           Timestamp after, Timestamp upto) {
-  // Committed versions only, read from a consistent engine iterator: no
-  // range latch is needed.
+                                           Timestamp after, Timestamp upto,
+                                           TxnId txn) {
   std::shared_lock<std::shared_mutex> dir(dir_mu_);
   (void)tenant;
+  // A single-key span is recorded as a point, as the Get that read it was.
+  const bool point = IsPointSpan(start, end);
   std::string cursor = start.ToString();
   while (true) {
     RangeState* range = LookupRangeLocked(cursor);
@@ -1463,10 +1468,21 @@ StatusOr<bool> KVCluster::AnyNewerVersions(TenantId tenant, Slice start, Slice e
     if (!range_end.empty() && (span_end.empty() || Slice(range_end) < Slice(span_end))) {
       span_end = range_end;
     }
-    VELOCE_ASSIGN_OR_RETURN(bool any,
-                            MvccAnyNewerVersions(LeaseholderEngineLocked(*range),
-                                                 cursor, span_end, after, upto));
-    if (any) return true;
+    {
+      // Check and record under one latch hold: a write that lands after the
+      // check is pushed above `upto` by the entry, so the validated read
+      // stays valid until the txn commits at or below `upto`.
+      Latch latch(range->latch);
+      VELOCE_ASSIGN_OR_RETURN(
+          bool any, MvccAnyNewerVersions(LeaseholderEngineLocked(*range), cursor,
+                                         span_end, after, upto, txn));
+      if (any) return true;
+      if (point) {
+        range->tscache.RecordRead(start, upto, txn);
+      } else {
+        range->tscache.RecordReadSpan(cursor, span_end, upto, txn);
+      }
+    }
     if (range_end.empty()) return false;
     if (!end.empty() && Slice(range_end) >= end) return false;
     cursor = range_end;
@@ -1695,6 +1711,9 @@ Status KVCluster::SplitRangeLocked(Slice split_key, SplitReason reason) {
   VELOCE_RETURN_IF_ERROR(AddRangeLocked(right));
   RangeState* right_state = ranges_[right.range_id].get();
   range->desc.end_key = split_key.ToString();
+  // Both halves keep every read constraint: a write to the right half must
+  // still land above the reads the parent served there.
+  right_state->tscache.MergeFrom(range->tscache);
   range->approx_bytes /= 2;  // rough: data divides between halves
   right_state->approx_bytes = range->approx_bytes;
   // Each half inherits half the parent's load; key samples restart on both

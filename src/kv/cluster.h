@@ -243,10 +243,14 @@ class KVCluster {
   /// finalized records. Returns records removed. Abandoned coordinators
   /// therefore cannot leak staging records forever.
   size_t GarbageCollectTxns();
-  /// True if any key in [start,end) has a committed version in (after, upto]
-  /// — the read-refresh check used to move a txn's read timestamp forward.
+  /// The read refresh that moves txn `txn`'s read timestamp forward: true
+  /// if any key in [start,end) has a committed version in (after, upto] or
+  /// another txn's intent at or below `upto`. When the span is clean it is
+  /// recorded in the timestamp cache as read by `txn` at `upto` (check and
+  /// record under each range's latch), so no write can later land beneath
+  /// the refreshed read.
   StatusOr<bool> AnyNewerVersions(TenantId tenant, Slice start, Slice end,
-                                  Timestamp after, Timestamp upto);
+                                  Timestamp after, Timestamp upto, TxnId txn);
 
   // --- Ranges / leases (introspection & experiment control) ---------------
   std::vector<RangeDescriptor> Ranges() const;

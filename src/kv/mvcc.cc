@@ -358,24 +358,33 @@ Status MvccUpdateIntentTimestamp(storage::Engine* engine, Slice user_key,
 }
 
 StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
-                                    Slice end, Timestamp after, Timestamp upto) {
+                                    Slice end, Timestamp after, Timestamp upto,
+                                    TxnId own_txn) {
   std::string end_bound;
   if (!end.empty()) OrderedPutString(&end_bound, end);
   // A single-key span [k, k\0) probes blooms for k, as MvccGet does.
-  const bool point = end.size() == start.size() + 1 &&
-                     end[start.size()] == '\0' && end.StartsWith(start);
-  const std::string prefix = point ? EncodeMvccPrefix(start) : std::string();
+  const std::string prefix =
+      IsPointSpan(start, end) ? EncodeMvccPrefix(start) : std::string();
   auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound, prefix);
   for (it->SeekToFirst(); it->Valid();) {
     MvccKeyParts k;
     if (!SplitMvccKey(it->key(), &k)) return Status::Corruption("bad MVCC key");
-    if (!k.is_intent && k.ts > after && k.ts <= upto) return true;
-    if (!k.is_intent && k.ts <= after) {
+    if (k.is_intent) {
+      IntentValue intent;
+      if (!DecodeIntentValue(it->value(), &intent)) {
+        return Status::Corruption("bad intent value");
+      }
+      if (intent.txn_id != own_txn && intent.ts <= upto) return true;
+      it->Next();
+      continue;
+    }
+    if (k.ts > after && k.ts <= upto) return true;
+    if (k.ts <= after) {
       // Versions sort newest first: the rest of this key is older still.
       it->Seek(PrefixEnd(k.escaped));
       continue;
     }
-    it->Next();  // an intent (provisional) or a version above `upto`
+    it->Next();  // a version above `upto`
   }
   return false;
 }

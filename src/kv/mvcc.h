@@ -126,10 +126,19 @@ Status MvccResolveIntent(storage::Engine* engine, Slice user_key, TxnId txn_id,
 Status MvccUpdateIntentTimestamp(storage::Engine* engine, Slice user_key,
                                  TxnId txn_id, Timestamp new_ts);
 
+/// True for the single-key span [k, k\0) a point read covers.
+inline bool IsPointSpan(Slice start, Slice end) {
+  return end.size() == start.size() + 1 && end[start.size()] == '\0' &&
+         end.StartsWith(start);
+}
+
 /// True if any committed version of any key in [start, end) has a timestamp
-/// in (after, upto] — the transaction read-refresh probe.
+/// in (after, upto], or an intent of a txn other than `own_txn` sits at or
+/// below `upto` (it may commit beneath a read refreshed to `upto`) — the
+/// transaction read-refresh probe.
 StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
-                                    Slice end, Timestamp after, Timestamp upto);
+                                    Slice end, Timestamp after, Timestamp upto,
+                                    TxnId own_txn = 0);
 
 /// Garbage-collects old versions in [start, end): for each key, versions
 /// strictly older than the newest version at or below `threshold` are

@@ -258,9 +258,21 @@ class ReplicationLog {
 };
 
 /// Read-timestamp cache for one range: remembers the maximum timestamp at
-/// which each key (or span) was read, so later writes below that timestamp
-/// are pushed forward — the mechanism that gives serializable isolation for
-/// read-write conflicts.
+/// which each key (or span) was read, and by which transaction, so later
+/// writes below that timestamp are pushed forward — the mechanism that
+/// gives serializable isolation for read-write conflicts.
+///
+/// Each entry keeps the reading txn (its owner; 0 = none). A txn's own
+/// reads never push its own writes: it writes at or above every timestamp
+/// it read at, so there is nothing to protect against. Everyone else is
+/// pushed above the entry. A point read at a higher timestamp replaces the
+/// entry and its owner; a read by a second txn at the same timestamp clears
+/// the owner (both must be pushed); a lower one is absorbed, unless it has
+/// no owner, which clears the owner as well.
+/// Overflow folds into an owner-less low-water mark, which pushes every
+/// writer — the conservative direction. Entries recorded with no owner
+/// (non-transactional reads, the fence a staging recovery lays for a txn's
+/// own late write) push everyone, the owner's txn included.
 class TimestampCache {
  public:
   /// Spans are folded into a range-wide low-water mark once the list grows
@@ -268,26 +280,33 @@ class TimestampCache {
   static constexpr size_t kMaxSpans = 128;
   static constexpr size_t kMaxPoints = 4096;
 
-  void RecordRead(Slice key, Timestamp ts);
-  void RecordReadSpan(Slice start, Slice end, Timestamp ts);
+  void RecordRead(Slice key, Timestamp ts, TxnId txn = 0);
+  void RecordReadSpan(Slice start, Slice end, Timestamp ts, TxnId txn = 0);
 
-  /// Folds another range's cache in (range merge): every point and span is
-  /// carried over so no read constraint is lost; cap overflow degrades to
-  /// the low-water mark exactly as organic growth does.
+  /// Folds another range's cache in (range merge, and a split's new right
+  /// half, which starts as a copy of the parent's): every point and span is
+  /// carried over with its owner so no read constraint is lost; cap
+  /// overflow degrades to the low-water mark exactly as organic growth does.
   void MergeFrom(const TimestampCache& other);
 
-  /// Highest read timestamp recorded for `key`.
-  Timestamp MaxReadTimestamp(Slice key) const;
+  /// Highest read timestamp recorded for `key` by anyone other than `txn`
+  /// (0 = a non-transactional writer, whom every entry applies to).
+  Timestamp MaxReadTimestamp(Slice key, TxnId txn = 0) const;
 
   Timestamp low_water() const { return low_water_; }
 
  private:
+  struct PointRead {
+    Timestamp ts;
+    TxnId txn = 0;
+  };
   struct SpanRead {
     std::string start, end;
     Timestamp ts;
+    TxnId txn = 0;
   };
 
-  std::map<std::string, Timestamp, std::less<>> points_;
+  std::map<std::string, PointRead, std::less<>> points_;
   std::vector<SpanRead> spans_;
   Timestamp low_water_;
 };

@@ -268,7 +268,8 @@ Status Transaction::RefreshReads(Timestamp to) {
   for (const auto& [start, end] : read_spans_) {
     VELOCE_ASSIGN_OR_RETURN(bool changed,
                             cluster_->AnyNewerVersions(tenant_, start, end,
-                                                       record_.read_ts, to));
+                                                       record_.read_ts, to,
+                                                       record_.id));
     if (changed) return Status::TransactionRetry("read refresh failed; retry txn");
   }
   record_.read_ts = to;

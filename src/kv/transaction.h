@@ -67,11 +67,14 @@ struct TxnOptions {
 ///
 /// Serializable isolation:
 ///  * reads happen at read_ts; the range timestamp cache pushes later
-///    conflicting writes above read_ts;
+///    conflicting writes of other txns above read_ts (never this txn's
+///    own, which are at or above read_ts anyway);
 ///  * writes lay intents at write_ts >= read_ts;
 ///  * commit at write_ts; if write_ts > read_ts the txn first verifies no
 ///    foreign commit landed in its read spans within (read_ts, write_ts]
-///    (refresh), else it must retry.
+///    and no foreign intent sits at or below write_ts (refresh), else it
+///    must retry. A refresh that passes records the spans as read at
+///    write_ts.
 ///
 /// Not thread-safe: one thread drives the coordinator. The internal write
 /// pipeline runs on the executor and is synchronized separately.
@@ -160,8 +163,10 @@ class Transaction {
   /// Blocks until every pipelined batch completed; folds bumps into
   /// max_write_ts_ and returns the pipeline's first error (sticky).
   Status WaitPipeline();
-  /// Verifies no foreign commit landed in the read spans within
-  /// (read_ts, to]; on success advances read_ts to `to`.
+  /// Re-reads the read spans at `to`: fails if a foreign commit landed in
+  /// them within (read_ts, to] or a foreign intent sits at or below `to`;
+  /// on success the spans are recorded as read at `to` and read_ts
+  /// advances to it.
   Status RefreshReads(Timestamp to);
   /// The one-phase commit attempt loop. OK = committed; NotSupported =
   /// caller falls back to the general path; anything else is final.

@@ -649,22 +649,25 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
 
 // --- DML ----------------------------------------------------------------------
 
-Status Executor::WriteRow(const TableDescriptor& desc, const Row& row, TenantTxn* txn,
-                          bool check_duplicate) {
+Status Executor::InsertRow(const TableDescriptor& desc, const Row& row,
+                           TenantTxn* txn, bool upsert) {
   const std::string pk = EncodePrimaryKey(desc, row);
   std::optional<std::string> existing;
   VELOCE_RETURN_IF_ERROR(txn->Get(pk, &existing));
-  if (existing.has_value()) {
-    if (check_duplicate) {
-      return Status::AlreadyExists("duplicate primary key in " + desc.name);
-    }
-    // Upsert over an existing row: retire stale secondary entries.
-    Row old_row;
-    VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pk, *existing, &old_row));
+  if (!existing.has_value()) return PutRow(desc, pk, row, nullptr, txn);
+  if (!upsert) return Status::AlreadyExists("duplicate primary key in " + desc.name);
+  Row old_row;
+  VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pk, *existing, &old_row));
+  return PutRow(desc, pk, row, &old_row, txn);
+}
+
+Status Executor::PutRow(const TableDescriptor& desc, const std::string& pk,
+                        const Row& row, const Row* old_row, TenantTxn* txn) {
+  if (old_row != nullptr) {
+    // Overwriting a row: retire its stale secondary entries.
     for (const auto& index : desc.secondaries) {
-      const std::string old_key = EncodeSecondaryKey(desc, index, old_row);
-      const std::string new_key = EncodeSecondaryKey(desc, index, row);
-      if (old_key != new_key) {
+      const std::string old_key = EncodeSecondaryKey(desc, index, *old_row);
+      if (old_key != EncodeSecondaryKey(desc, index, row)) {
         VELOCE_RETURN_IF_ERROR(txn->Delete(old_key));
       }
     }
@@ -719,7 +722,7 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt, TenantTxn* txn,
                                        desc.columns[i].name);
       }
     }
-    VELOCE_RETURN_IF_ERROR(WriteRow(desc, row, txn, /*check_duplicate=*/!stmt.upsert));
+    VELOCE_RETURN_IF_ERROR(InsertRow(desc, row, txn, stmt.upsert));
     ++result.rows_affected;
   }
   return result;
@@ -763,13 +766,14 @@ StatusOr<ResultSet> Executor::ExecUpdate(const UpdateStmt& stmt, TenantTxn* txn,
       }
       new_row[static_cast<size_t>(desc.ColumnIndex(col->id))] = std::move(v);
     }
-    const bool pk_changed =
-        EncodePrimaryKey(desc, old_row) != EncodePrimaryKey(desc, new_row);
-    if (pk_changed) {
+    const std::string pk = EncodePrimaryKey(desc, new_row);
+    if (pk != EncodePrimaryKey(desc, old_row)) {
       VELOCE_RETURN_IF_ERROR(DeleteRow(desc, old_row, txn));
-      VELOCE_RETURN_IF_ERROR(WriteRow(desc, new_row, txn, /*check_duplicate=*/true));
+      VELOCE_RETURN_IF_ERROR(InsertRow(desc, new_row, txn, /*upsert=*/false));
     } else {
-      VELOCE_RETURN_IF_ERROR(WriteRow(desc, new_row, txn, /*check_duplicate=*/false));
+      // The scan just read the row in this txn: overwrite it without
+      // reading it again.
+      VELOCE_RETURN_IF_ERROR(PutRow(desc, pk, new_row, &old_row, txn));
     }
     ++result.rows_affected;
   }

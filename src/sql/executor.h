@@ -102,8 +102,15 @@ class Executor {
                    const std::vector<Datum>* params, std::vector<Row>* rows,
                    const std::vector<uint32_t>* needed_columns = nullptr);
 
-  Status WriteRow(const TableDescriptor& desc, const Row& row, TenantTxn* txn,
-                  bool check_duplicate);
+  /// INSERT / UPSERT of one row: looks its primary key up first. An
+  /// existing row fails with AlreadyExists, or with `upsert` is replaced.
+  Status InsertRow(const TableDescriptor& desc, const Row& row, TenantTxn* txn,
+                   bool upsert);
+  /// Writes `row` (primary key `pk`) and its secondary entries over
+  /// `old_row`, the row's current value (null = none), retiring old_row's
+  /// stale secondary entries.
+  Status PutRow(const TableDescriptor& desc, const std::string& pk, const Row& row,
+                const Row* old_row, TenantTxn* txn);
   Status DeleteRow(const TableDescriptor& desc, const Row& row, TenantTxn* txn);
 
   Catalog* catalog_;

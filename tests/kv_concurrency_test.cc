@@ -4,9 +4,12 @@
 // readers meet staging intents and run recovery with their latch released)
 // while an admin thread splits, merges, moves replicas, rebalances leases,
 // ticks heartbeats and sweeps txn records. Every observed operation goes
-// into a per-key history that the Wing–Gong checker must accept. Built to
-// run under the TSan preset (label kv_concurrency_test), where the same
-// run also checks the range-latch / directory-lock discipline for races.
+// into a per-key history that the Wing–Gong checker must accept. A second
+// test has the client threads contend on two shared counters with
+// read-modify-write increments, which drive reads, pushes and latch-held
+// read refreshes against each other. Built to run under the TSan preset
+// (label kv_concurrency_test), where the same runs also check the
+// range-latch / directory-lock discipline for races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -235,6 +238,60 @@ TEST_F(KvConcurrencyTest, DisjointTenantsStayLinearizableUnderTopologyChurn) {
   EXPECT_EQ(ranges.back().end_key, "");
   for (size_t i = 1; i < ranges.size(); ++i) {
     EXPECT_EQ(ranges[i - 1].end_key, ranges[i].start_key);
+  }
+}
+
+TEST(KvContentionTest, ContendedReadModifyWritesLoseNoIncrement) {
+  constexpr TenantId kTenant = 40;
+  constexpr int kIncrementsPerClient = 60;
+  KVClusterOptions opts;
+  opts.num_nodes = 3;
+  opts.replication_factor = 3;
+  KVCluster cluster(opts);
+  VELOCE_CHECK_OK(cluster.CreateTenantKeyspace(kTenant));
+  const std::string counters[2] = {AddTenantPrefix(kTenant, "a"),
+                                   AddTenantPrefix(kTenant, "b")};
+  // One counter per range, so refreshes latch two ranges.
+  VELOCE_CHECK_OK(cluster.SplitRange(counters[1]));
+
+  std::atomic<int> acked[2] = {0, 0};
+  std::atomic<int> ambiguous{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Random rng(kSeed + 100 + static_cast<uint64_t>(c));
+      for (int op = 0; op < kIncrementsPerClient; ++op) {
+        const int which = static_cast<int>(rng.Uniform(2));
+        Transaction txn(&cluster, kTenant);
+        std::optional<std::string> value;
+        if (!txn.Get(counters[which], &value).ok()) continue;
+        const int cur = value.has_value() ? std::stoi(*value) : 0;
+        if (!txn.Put(counters[which], std::to_string(cur + 1)).ok()) continue;
+        const Status s = txn.Commit();
+        if (s.ok()) {
+          acked[which].fetch_add(1);
+        } else if (!DefinitelyNotApplied(s)) {
+          ambiguous.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(ambiguous.load(), 0);
+  EXPECT_GT(acked[0].load() + acked[1].load(), 0);
+  RecordProperty("txn_retries",
+                 static_cast<int>(cluster.txn_metrics().retries->value()));
+  for (int which = 0; which < 2; ++which) {
+    BatchRequest get;
+    get.tenant_id = kTenant;
+    get.AddGet(counters[which]);
+    const StatusOr<BatchResponse> resp = cluster.Send(get);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    const int final_value = resp->responses[0].found
+                                ? std::stoi(resp->responses[0].value)
+                                : 0;
+    EXPECT_EQ(final_value, acked[which].load()) << "counter " << which;
   }
 }
 

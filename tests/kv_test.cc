@@ -290,6 +290,18 @@ TEST_F(MvccTest, AnyNewerVersionsSkipsOlderHistoryButNotNextKey) {
   }
 }
 
+TEST_F(MvccTest, AnyNewerVersionsFailsOnForeignIntentAtOrBelowTarget) {
+  PutValue("b", {10, 0}, "v");
+  PutIntent("b", 42, {90, 0}, "provisional");
+  // Txn 42 may commit at 90, beneath a read refreshed to 100.
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "a", "c", {20, 0}, {100, 0}));
+  EXPECT_TRUE(*MvccAnyNewerVersions(engine_.get(), "a", "c", {20, 0}, {90, 0}, 7));
+  // Its own intent does not fail txn 42's refresh; an intent above the
+  // target commits above it and fails no one.
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "a", "c", {20, 0}, {100, 0}, 42));
+  EXPECT_FALSE(*MvccAnyNewerVersions(engine_.get(), "a", "c", {20, 0}, {80, 0}, 7));
+}
+
 // ---------------------------------------------------------------------------
 // MVCC readers against a reference model
 // ---------------------------------------------------------------------------
@@ -1097,6 +1109,22 @@ TEST_F(TransactionTest, WriteBelowReadTimestampGetsBumped) {
   put.AddPut(Key(10, "k"), "v");
   auto resp = *cluster_->Send(put);
   EXPECT_GT(resp.bumped_write_ts, get.ts);
+}
+
+TEST_F(TransactionTest, SplitKeepsReadsServedByTheParent) {
+  // A read at T is served by the parent range; the split puts the key in
+  // the new right half, whose timestamp cache must still hold the read.
+  BatchRequest get = Req(10);
+  get.AddGet(Key(10, "k"));
+  ASSERT_TRUE(cluster_->Send(get).ok());
+  ASSERT_TRUE(cluster_->SplitRange(Key(10, "k")).ok());
+  BatchRequest put;
+  put.tenant_id = 10;
+  put.ts = {get.ts.wall - kMicro, get.ts.logical};
+  put.AddPut(Key(10, "k"), "v");
+  auto resp = cluster_->Send(put);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_GT(resp->bumped_write_ts, get.ts);
 }
 
 TEST_F(TransactionTest, RefreshAllowsCommitWhenReadSetUnchanged) {

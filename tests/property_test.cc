@@ -188,6 +188,89 @@ TEST(TimestampCacheTest, PointOverflowSafe) {
   EXPECT_GE(cache.MaxReadTimestamp("p10").wall, 20);
 }
 
+TEST(TimestampCacheTest, OwnReadDoesNotPush) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, /*txn=*/7);
+  cache.RecordReadSpan("s", "u", {120, 0}, /*txn=*/7);
+  // Txn 7 writes at or above its own reads: nothing to protect.
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 7).wall, 0);
+  EXPECT_EQ(cache.MaxReadTimestamp("t", 7).wall, 0);
+}
+
+TEST(TimestampCacheTest, ForeignReadPushes) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, /*txn=*/7);
+  cache.RecordReadSpan("s", "u", {120, 0}, /*txn=*/7);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 8).wall, 100);
+  EXPECT_EQ(cache.MaxReadTimestamp("t", 8).wall, 120);
+  // A non-transactional writer is pushed by every entry.
+  EXPECT_EQ(cache.MaxReadTimestamp("a").wall, 100);
+  // A higher read by another txn takes the entry over.
+  cache.RecordRead("a", {150, 0}, /*txn=*/8);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 7).wall, 150);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 8).wall, 0);
+}
+
+TEST(TimestampCacheTest, EqualTimestampReadBySecondTxnClearsOwner) {
+  kv::TimestampCache cache;
+  cache.RecordRead("a", {100, 0}, /*txn=*/7);
+  cache.RecordRead("a", {100, 0}, /*txn=*/8);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 7).wall, 100);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 8).wall, 100);
+  // Re-reading by the same txn keeps its ownership.
+  cache.RecordRead("b", {100, 0}, /*txn=*/7);
+  cache.RecordRead("b", {100, 0}, /*txn=*/7);
+  EXPECT_EQ(cache.MaxReadTimestamp("b", 7).wall, 0);
+}
+
+TEST(TimestampCacheTest, OwnerlessEntryPushesEveryTxn) {
+  kv::TimestampCache cache;
+  // The fence a staging recovery lays for txn 7's own late write.
+  cache.RecordRead("a", {100, 0}, /*txn=*/0);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 7).wall, 100);
+  EXPECT_EQ(cache.MaxReadTimestamp("a", 8).wall, 100);
+  // An owner-less read below an owned entry cannot hide under it.
+  cache.RecordRead("b", {200, 0}, /*txn=*/7);
+  cache.RecordRead("b", {100, 0}, /*txn=*/0);
+  EXPECT_EQ(cache.MaxReadTimestamp("b", 7).wall, 200);
+  // A lower read by another txn is absorbed: the owner writes above 200.
+  cache.RecordRead("c", {200, 0}, /*txn=*/7);
+  cache.RecordRead("c", {100, 0}, /*txn=*/8);
+  EXPECT_EQ(cache.MaxReadTimestamp("c", 7).wall, 0);
+  EXPECT_EQ(cache.MaxReadTimestamp("c", 8).wall, 200);
+}
+
+TEST(TimestampCacheTest, OverflowFoldPushesEveryone) {
+  kv::TimestampCache points, spans;
+  for (size_t i = 0; i < kv::TimestampCache::kMaxPoints + 1; ++i) {
+    points.RecordRead("p" + std::to_string(i), {static_cast<Nanos>(10 + i), 0},
+                      /*txn=*/7);
+  }
+  for (size_t i = 0; i < kv::TimestampCache::kMaxSpans + 1; ++i) {
+    spans.RecordReadSpan("s" + std::to_string(i), "s" + std::to_string(i) + "x",
+                         {static_cast<Nanos>(10 + i), 0}, /*txn=*/7);
+  }
+  // The folded reads lost their owner: even txn 7 is pushed above them.
+  EXPECT_GE(points.MaxReadTimestamp("p10", 7).wall, 20);
+  EXPECT_GE(spans.MaxReadTimestamp("s5", 7).wall, 15);
+  // The read recorded after each fold keeps its owner.
+  const std::string last = "p" + std::to_string(kv::TimestampCache::kMaxPoints);
+  EXPECT_EQ(points.MaxReadTimestamp(last, 7), points.low_water());
+}
+
+TEST(TimestampCacheTest, MergeFromKeepsOwners) {
+  kv::TimestampCache left, right;
+  right.RecordRead("r", {100, 0}, /*txn=*/7);
+  right.RecordReadSpan("s", "u", {120, 0}, /*txn=*/7);
+  right.RecordRead("x", {130, 0}, /*txn=*/0);
+  left.MergeFrom(right);
+  EXPECT_EQ(left.MaxReadTimestamp("r", 7).wall, 0);
+  EXPECT_EQ(left.MaxReadTimestamp("t", 7).wall, 0);
+  EXPECT_EQ(left.MaxReadTimestamp("r", 8).wall, 100);
+  EXPECT_EQ(left.MaxReadTimestamp("t", 8).wall, 120);
+  EXPECT_EQ(left.MaxReadTimestamp("x", 7).wall, 130);
+}
+
 // ---------------------------------------------------------------------------
 // ReplicationLog
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "kv/keys.h"
 #include "sql/datum.h"
 #include "sql/parser.h"
 #include "sql/row.h"
@@ -376,6 +377,50 @@ TEST_F(SqlEndToEndTest, SecondaryIndexServesEqualityLookups) {
   Exec("DELETE FROM users WHERE id = 0");
   rs = Exec("SELECT COUNT(*) FROM users WHERE city = 'nyc'");
   EXPECT_EQ(rs.rows[0][0].int_value(), 10);
+}
+
+TEST_F(SqlEndToEndTest, UpdateOfIndexedColumnRetiresOldIndexEntry) {
+  Exec("CREATE TABLE users (id INT PRIMARY KEY, city STRING)");
+  Exec("CREATE INDEX users_by_city ON users (city)");
+  Exec("INSERT INTO users VALUES (1, 'nyc'), (2, 'sfo')");
+  // The UPDATE reuses the row its point read returned to find the stale
+  // index entry: one read batch, then the one-phase commit.
+  node_->connector()->ResetFeatures();
+  EXPECT_EQ(Exec("UPDATE users SET city = 'lon' WHERE id = 2").rows_affected, 1u);
+  const auto& f = node_->connector()->features();
+  EXPECT_EQ(f.read_batches, 1);
+  EXPECT_EQ(f.write_batches, 1);
+  // Every KV key of the tenant: descriptors, rows and index entries.
+  auto count_keys = [&] {
+    kv::BatchRequest scan;
+    scan.tenant_id = tenant_id_;
+    scan.AddScan(kv::TenantPrefix(tenant_id_), kv::TenantPrefixEnd(tenant_id_));
+    auto resp = cluster_->Send(scan);
+    VELOCE_CHECK(resp.ok()) << resp.status().ToString();
+    return resp->responses[0].rows.size();
+  };
+  const size_t before = count_keys();
+  EXPECT_EQ(Exec("UPDATE users SET city = 'ams' WHERE id = 1").rows_affected, 1u);
+  // One index entry replaced another: the 'nyc' entry is gone.
+  EXPECT_EQ(count_keys(), before);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM users WHERE city = 'nyc'").rows[0][0].int_value(), 0);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM users WHERE city = 'ams'").rows[0][0].int_value(), 1);
+}
+
+TEST_F(SqlEndToEndTest, InsertStillChecksForExistingPrimaryKeys) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  // A duplicate inside one multi-row statement: nothing is inserted.
+  auto dup = session_->Execute("INSERT INTO t VALUES (1, 1), (2, 2), (1, 3)");
+  EXPECT_EQ(dup.status().code(), Code::kAlreadyExists);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
+  // A row written by an UPDATE earlier in the same txn.
+  Exec("INSERT INTO t VALUES (1, 1)");
+  Exec("BEGIN");
+  Exec("UPDATE t SET v = 5 WHERE id = 1");
+  auto existing = session_->Execute("INSERT INTO t VALUES (1, 6)");
+  EXPECT_EQ(existing.status().code(), Code::kAlreadyExists);
+  Exec("ROLLBACK");
+  EXPECT_EQ(Exec("SELECT v FROM t WHERE id = 1").rows[0][0].int_value(), 1);
 }
 
 TEST_F(SqlEndToEndTest, IndexJoinOnPrimaryKey) {

@@ -705,9 +705,10 @@ TEST_F(TxnPathTest, RacingReadModifyWritesCannotLoseAnUpdate) {
   // T2 begins first (R2 < R1); both read k; T2 writes and commits by 1PC;
   // then T1 writes k and commits. If T1 committed, T2's update would be
   // lost. There is no write-too-old check: what refuses T1 is the
-  // timestamp cache — T1's own read at R1 pushes its write above R1, and
-  // the refresh that push forces finds T2's commit. This pins the outcome
-  // for any later change to the cache (e.g. making it txn-aware).
+  // timestamp cache. T1's read at R1 pushes T2's write above R1; T2's
+  // refresh to that timestamp records T2's read of k there, and that entry
+  // pushes T1's write above T2's commit, so T1's refresh finds it. (T1's
+  // own read at R1 does not push T1's write.)
   const std::string k = Key("lost-update");
   {
     Transaction init(cluster_.get(), 10);
@@ -735,6 +736,81 @@ TEST_F(TxnPathTest, RacingReadModifyWritesCannotLoseAnUpdate) {
   ASSERT_TRUE(reader.Get(k, &now).ok());
   EXPECT_EQ(now, "t2");
   ASSERT_TRUE(reader.Commit().ok());
+}
+
+TEST_F(TxnPathTest, ReadModifyWriteCommitsByOnePhaseWithoutRefresh) {
+  const std::string k = Key("rmw");
+  {
+    Transaction init(cluster_.get(), 10);
+    ASSERT_TRUE(init.Put(k, "0").ok());
+    ASSERT_TRUE(init.Commit().ok());
+  }
+  const double retries_before = cluster_->metrics()->Sum("veloce_txn_retries_total");
+  const double one_pc_before = CommitCount("1pc");
+  Transaction txn(cluster_.get(), 10);
+  std::optional<std::string> value;
+  ASSERT_TRUE(txn.Get(k, &value).ok());
+  ASSERT_EQ(value, "0");
+  ASSERT_TRUE(txn.Put(k, "1").ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  // The txn's own read does not push its write: one Get, one 1PC batch.
+  EXPECT_EQ(txn.batches_sent(), 2u);
+  EXPECT_EQ(CommitCount("1pc"), one_pc_before + 1);
+  EXPECT_EQ(cluster_->metrics()->Sum("veloce_txn_retries_total"), retries_before);
+  EXPECT_EQ(txn.commit_ts(), txn.read_ts());
+}
+
+TEST_F(TxnPathTest, RefreshedReadFencesLaterWritesBelowIt) {
+  // T reads j and is pushed (a non-txn read of k, its write target), so it
+  // refreshes j up to X and commits at X: T claims j was unchanged up to X.
+  // A write to j below X would undercut that claim; the refresh must leave
+  // the same trace a read at X does.
+  const std::string j = Key("skew-j");
+  const std::string k = Key("skew-k");
+  Transaction t(cluster_.get(), 10);
+  Transaction v(cluster_.get(), 10);
+  std::optional<std::string> value;
+  ASSERT_TRUE(t.Get(j, &value).ok());
+  BatchRequest get;
+  get.tenant_id = 10;
+  get.ts = cluster_->Now();
+  get.AddGet(k);
+  ASSERT_TRUE(cluster_->Send(get).ok());
+  ASSERT_TRUE(t.Put(k, "t").ok());
+  ASSERT_TRUE(t.Commit().ok());
+  ASSERT_GT(t.commit_ts(), v.read_ts());
+  // V's blind write of j starts below X; it must land above it.
+  ASSERT_TRUE(v.Put(j, "v").ok());
+  ASSERT_TRUE(v.Commit().ok());
+  EXPECT_GT(v.commit_ts(), t.commit_ts());
+}
+
+TEST_F(TxnPathTest, RefreshFailsOnForeignIntentBelowItsTarget) {
+  // T reads j; U (begun later, classic: its intent is laid at once) writes
+  // j above T's read. A non-txn read of k pushes T's write of k, so T must
+  // refresh j past U's intent. U may still commit beneath T's refreshed
+  // read, so the refresh must fail: T and U cannot both commit.
+  const std::string j = Key("intent-j");
+  const std::string k = Key("intent-k");
+  Transaction t(cluster_.get(), 10);
+  std::optional<std::string> value;
+  ASSERT_TRUE(t.Get(j, &value).ok());
+  Transaction u(cluster_.get(), 10, 0, nullptr, TxnOptions::Classic());
+  ASSERT_GT(u.read_ts(), t.read_ts());
+  ASSERT_TRUE(u.Put(j, "u").ok());
+  BatchRequest get;
+  get.tenant_id = 10;
+  get.ts = cluster_->Now();
+  get.AddGet(k);
+  ASSERT_TRUE(cluster_->Send(get).ok());
+  ASSERT_TRUE(t.Put(k, "t").ok());
+  const Status ts = t.Commit();
+  const Status us = u.Commit();
+  EXPECT_FALSE(ts.ok() && us.ok())
+      << "both committed: T at " << t.commit_ts().ToString() << ", U at "
+      << u.commit_ts().ToString();
+  EXPECT_TRUE(ts.IsTransactionRetry()) << ts.ToString();
+  EXPECT_TRUE(us.ok()) << us.ToString();
 }
 
 TEST_F(TxnPathTest, PipelinedFlushesProveBeforeParallelCommit) {
