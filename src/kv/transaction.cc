@@ -81,32 +81,43 @@ bool Transaction::AnyKeyInSpan(const std::set<std::string>& keys, Slice start,
   return it != keys.end() && (end.empty() || Slice(*it) < end);
 }
 
-Status Transaction::Get(Slice key, std::optional<std::string>* value) {
+Status Transaction::MultiGet(const std::vector<std::string>& keys,
+                             std::vector<std::optional<std::string>>* values) {
   if (finalized_) return Status::Internal("txn already finalized");
-  // Read-your-writes from the buffer: the value does not depend on database
-  // state, so no read span is needed.
-  auto bit = buffer_.find(key.ToString());
-  if (bit != buffer_.end()) {
-    if (bit->second.tombstone) {
-      value->reset();
-    } else {
-      *value = bit->second.value;
-    }
-    return Status::OK();
-  }
-  // Reading a key we flushed requires the pipelined intent to be applied.
-  if (intent_keys_.count(key.ToString()) != 0) {
-    VELOCE_RETURN_IF_ERROR(WaitPipeline());
-  }
+  values->assign(keys.size(), std::nullopt);
   BatchRequest req = MakeRequest();
-  req.AddGet(key);
-  VELOCE_ASSIGN_OR_RETURN(BatchResponse resp, SendTracked(req));
-  AddReadSpan(key.ToString(), key.ToString() + std::string(1, '\0'));
-  if (resp.responses[0].found) {
-    *value = std::move(resp.responses[0].value);
-  } else {
-    value->reset();
+  std::vector<size_t> sent;  // index into keys of each request in req
+  bool wait_pipeline = false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    // Read-your-writes from the buffer: the value does not depend on
+    // database state, so no read span is needed.
+    auto bit = buffer_.find(keys[i]);
+    if (bit != buffer_.end()) {
+      if (!bit->second.tombstone) (*values)[i] = bit->second.value;
+      continue;
+    }
+    // Reading a key we flushed requires the pipelined intent to be applied.
+    if (intent_keys_.count(keys[i]) != 0) wait_pipeline = true;
+    req.AddGet(keys[i]);
+    sent.push_back(i);
   }
+  if (sent.empty()) return Status::OK();
+  if (wait_pipeline) VELOCE_RETURN_IF_ERROR(WaitPipeline());
+  VELOCE_ASSIGN_OR_RETURN(BatchResponse resp, SendTracked(req));
+  for (size_t j = 0; j < sent.size(); ++j) {
+    const std::string& key = keys[sent[j]];
+    AddReadSpan(key, key + std::string(1, '\0'));
+    if (resp.responses[j].found) {
+      (*values)[sent[j]] = std::move(resp.responses[j].value);
+    }
+  }
+  return Status::OK();
+}
+
+Status Transaction::Get(Slice key, std::optional<std::string>* value) {
+  std::vector<std::optional<std::string>> values;
+  VELOCE_RETURN_IF_ERROR(MultiGet({key.ToString()}, &values));
+  *value = std::move(values[0]);
   return Status::OK();
 }
 

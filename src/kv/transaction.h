@@ -94,6 +94,13 @@ class Transaction {
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
+  /// Batched point read: (*values)[i] is the value of keys[i]. Keys in the
+  /// write buffer are answered from it; the rest go out as one batch, after
+  /// the write pipeline drains if any of them has a flushed intent. Each
+  /// key read from KV is tracked as a point read span.
+  Status MultiGet(const std::vector<std::string>& keys,
+                  std::vector<std::optional<std::string>>* values);
+  /// MultiGet of one key.
   Status Get(Slice key, std::optional<std::string>* value);
   Status Put(Slice key, Slice value);
   Status Delete(Slice key);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/codec.h"
 #include "common/logging.h"
@@ -649,16 +650,33 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
 
 // --- DML ----------------------------------------------------------------------
 
-Status Executor::InsertRow(const TableDescriptor& desc, const Row& row,
-                           TenantTxn* txn, bool upsert) {
-  const std::string pk = EncodePrimaryKey(desc, row);
-  std::optional<std::string> existing;
-  VELOCE_RETURN_IF_ERROR(txn->Get(pk, &existing));
-  if (!existing.has_value()) return PutRow(desc, pk, row, nullptr, txn);
-  if (!upsert) return Status::AlreadyExists("duplicate primary key in " + desc.name);
-  Row old_row;
-  VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pk, *existing, &old_row));
-  return PutRow(desc, pk, row, &old_row, txn);
+Status Executor::InsertRows(const TableDescriptor& desc, const std::vector<Row>& rows,
+                            TenantTxn* txn, bool upsert) {
+  std::vector<std::string> pks;
+  pks.reserve(rows.size());
+  for (const Row& row : rows) pks.push_back(EncodePrimaryKey(desc, row));
+  std::vector<std::optional<std::string>> existing;
+  VELOCE_RETURN_IF_ERROR(txn->MultiGet(pks, &existing));
+  // Row index of the last row this call wrote, by primary key: a later row
+  // with the same key meets it instead of what the read returned.
+  std::unordered_map<std::string, size_t> written;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    auto prev = written.find(pks[i]);
+    if (!upsert && (prev != written.end() || existing[i].has_value())) {
+      return Status::AlreadyExists("duplicate primary key in " + desc.name);
+    }
+    const Row* old_row = nullptr;
+    Row decoded;
+    if (prev != written.end()) {
+      old_row = &rows[prev->second];
+    } else if (existing[i].has_value()) {
+      VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pks[i], *existing[i], &decoded));
+      old_row = &decoded;
+    }
+    VELOCE_RETURN_IF_ERROR(PutRow(desc, pks[i], rows[i], old_row, txn));
+    written[pks[i]] = i;
+  }
+  return Status::OK();
 }
 
 Status Executor::PutRow(const TableDescriptor& desc, const std::string& pk,
@@ -705,26 +723,39 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt, TenantTxn* txn,
   std::vector<Binding> no_bindings;
   Row empty_row;
   EvalContext ctx{&no_bindings, &empty_row, params, nullptr};
-  ResultSet result;
-  for (const auto& value_row : stmt.values) {
+  auto eval_row = [&](const std::vector<ExprPtr>& value_row, Row* row) -> Status {
     if (value_row.size() != positions.size()) {
       return Status::InvalidArgument("INSERT value count mismatch");
     }
-    Row row(desc.columns.size(), Datum::Null());
+    row->assign(desc.columns.size(), Datum::Null());
     for (size_t i = 0; i < positions.size(); ++i) {
       VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*value_row[i], ctx));
-      row[static_cast<size_t>(positions[i])] = std::move(v);
+      (*row)[static_cast<size_t>(positions[i])] = std::move(v);
     }
     // NOT NULL enforcement.
     for (size_t i = 0; i < desc.columns.size(); ++i) {
-      if (!desc.columns[i].nullable && row[i].is_null()) {
+      if (!desc.columns[i].nullable && (*row)[i].is_null()) {
         return Status::InvalidArgument("null value in non-nullable column " +
                                        desc.columns[i].name);
       }
     }
-    VELOCE_RETURN_IF_ERROR(InsertRow(desc, row, txn, stmt.upsert));
-    ++result.rows_affected;
+    return Status::OK();
+  };
+  // Rows evaluate up to the first that fails. Its error stands only if no
+  // row before it fails too: the first failing row decides the status.
+  std::vector<Row> rows;
+  rows.reserve(stmt.values.size());
+  Status row_error;
+  for (const auto& value_row : stmt.values) {
+    Row row;
+    row_error = eval_row(value_row, &row);
+    if (!row_error.ok()) break;
+    rows.push_back(std::move(row));
   }
+  VELOCE_RETURN_IF_ERROR(InsertRows(desc, rows, txn, stmt.upsert));
+  VELOCE_RETURN_IF_ERROR(row_error);
+  ResultSet result;
+  result.rows_affected = rows.size();
   return result;
 }
 
@@ -769,7 +800,7 @@ StatusOr<ResultSet> Executor::ExecUpdate(const UpdateStmt& stmt, TenantTxn* txn,
     const std::string pk = EncodePrimaryKey(desc, new_row);
     if (pk != EncodePrimaryKey(desc, old_row)) {
       VELOCE_RETURN_IF_ERROR(DeleteRow(desc, old_row, txn));
-      VELOCE_RETURN_IF_ERROR(InsertRow(desc, new_row, txn, /*upsert=*/false));
+      VELOCE_RETURN_IF_ERROR(InsertRows(desc, {new_row}, txn, /*upsert=*/false));
     } else {
       // The scan just read the row in this txn: overwrite it without
       // reading it again.

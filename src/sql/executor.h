@@ -102,10 +102,12 @@ class Executor {
                    const std::vector<Datum>* params, std::vector<Row>* rows,
                    const std::vector<uint32_t>* needed_columns = nullptr);
 
-  /// INSERT / UPSERT of one row: looks its primary key up first. An
-  /// existing row fails with AlreadyExists, or with `upsert` is replaced.
-  Status InsertRow(const TableDescriptor& desc, const Row& row, TenantTxn* txn,
-                   bool upsert);
+  /// INSERT / UPSERT of `rows`: reads every primary key in one batch, then
+  /// writes the rows in order. A row whose key exists, or was written by
+  /// an earlier row of `rows`, fails with AlreadyExists (the first such row
+  /// decides the error), or with `upsert` replaces that row.
+  Status InsertRows(const TableDescriptor& desc, const std::vector<Row>& rows,
+                    TenantTxn* txn, bool upsert);
   /// Writes `row` (primary key `pk`) and its secondary entries over
   /// `old_row`, the row's current value (null = none), retiring old_row's
   /// stale secondary entries.

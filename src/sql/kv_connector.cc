@@ -44,7 +44,14 @@ StatusOr<kv::BatchResponse> KvConnector::Send(kv::BatchRequest req) {
       r.end_key = r.end_key.empty() ? PrefixEnd(prefix_) : prefix_ + r.end_key;
     }
   }
-  if (req.ts.IsEmpty()) req.ts = cluster_->Now();
+  // Reads draw their timestamp from the oracle BeginTxn uses, so a txn
+  // begun after the read starts above it and its writes are not pushed by
+  // the read. Writes stay on the HLC; the cluster observes each applied
+  // write into the oracle.
+  if (req.ts.IsEmpty()) {
+    req.ts = req.IsReadOnly() ? cluster_->timestamp_oracle()->Next()
+                              : cluster_->Now();
+  }
   VELOCE_ASSIGN_OR_RETURN(kv::BatchResponse resp, SendAddressed(req));
   // Strip the prefix from returned row keys before handing to SQL.
   for (auto& r : resp.responses) {
@@ -149,10 +156,14 @@ StatusOr<kv::BatchResponse> KvConnector::SendPrefixed(const kv::BatchRequest& re
   // p50 but dropped Fig 6's Q1 ratio from ~2.7x to 1.3-1.8x, erasing the
   // paper's result. Do not accelerate crc32c without recalibrating this
   // model (EXPERIMENTS.md, methodology notes).
+  //
+  // Marshaling never blocks, so it is timed on the cheap steady clock; only
+  // the KV call, which can block, pays for thread-CPU reads (the clocks are
+  // explained at marshal_cpu_ns_c_ and kv_cpu_nanos()).
+  RealClock* steady = RealClock::Instance();
   Nanos marshal_cpu = 0;
-  Nanos kv_cpu = 0;
   uint64_t marshaled = 0;
-  Nanos marshal0 = ThreadCpuNanos();
+  Nanos marshal0 = steady->Now();
   const std::string wire_req = req.Encode();
   marshaled += wire_req.size();
   const uint32_t req_crc = crc32c::Value(wire_req.data(), wire_req.size());
@@ -164,11 +175,11 @@ StatusOr<kv::BatchResponse> KvConnector::SendPrefixed(const kv::BatchRequest& re
   // The trace pointer never crosses the wire; re-attach it on the far side
   // the way a real RPC would propagate trace ids.
   decoded_req.trace = req.trace;
-  marshal_cpu += ThreadCpuNanos() - marshal0;
+  marshal_cpu += steady->Now() - marshal0;
   const Nanos cpu0 = ThreadCpuNanos();
   VELOCE_ASSIGN_OR_RETURN(kv::BatchResponse resp, service_->Send(cert_, decoded_req));
-  kv_cpu += ThreadCpuNanos() - cpu0;
-  marshal0 = ThreadCpuNanos();
+  const Nanos kv_cpu = ThreadCpuNanos() - cpu0;
+  marshal0 = steady->Now();
   const std::string wire_resp = resp.Encode();
   marshaled += wire_resp.size();
   const uint32_t resp_crc = crc32c::Value(wire_resp.data(), wire_resp.size());
@@ -206,7 +217,7 @@ StatusOr<kv::BatchResponse> KvConnector::SendPrefixed(const kv::BatchRequest& re
       row.value = value_part.ToString();
     }
   }
-  marshal_cpu += ThreadCpuNanos() - marshal0;
+  marshal_cpu += steady->Now() - marshal0;
   {
     std::lock_guard<std::mutex> l(acct_mu_);
     marshaled_bytes_ += marshaled;

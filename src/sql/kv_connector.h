@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "billing/ecpu_model.h"
 #include "kv/range_cache.h"
@@ -37,6 +38,13 @@ class TenantTxn {
 
   Status Get(Slice key, std::optional<std::string>* value) {
     return txn_->Get(prefix_ + key.ToString(), value);
+  }
+  Status MultiGet(const std::vector<std::string>& keys,
+                  std::vector<std::optional<std::string>>* values) {
+    std::vector<std::string> prefixed;
+    prefixed.reserve(keys.size());
+    for (const auto& key : keys) prefixed.push_back(prefix_ + key);
+    return txn_->MultiGet(prefixed, values);
   }
   Status Put(Slice key, Slice value) {
     return txn_->Put(prefix_ + key.ToString(), value);
@@ -129,6 +137,9 @@ class KvConnector {
   /// boundary), measured per call. In production this is the part of a
   /// tenant's cost that cannot be directly attributed and must be modeled;
   /// benches use it to calibrate and evaluate the estimated-CPU model.
+  /// Timed with ThreadCpuNanos() (CLOCK_THREAD_CPUTIME_ID), not the steady
+  /// clock: a KV call can block on latches and group commit, and that wait
+  /// is not CPU the model should learn.
   Nanos kv_cpu_nanos() const {
     std::lock_guard<std::mutex> l(acct_mu_);
     return kv_cpu_nanos_;
@@ -136,7 +147,8 @@ class KvConnector {
 
   /// Request trace attached to every batch this connector sends until
   /// cleared (the session sets it around each statement). The marshal path
-  /// records its CPU into the trace as stage "marshal".
+  /// records its CPU into the trace as stage "marshal" (steady-clock time,
+  /// as veloce_sql_marshal_cpu_ns_total).
   void set_current_trace(obs::TraceContext* trace) { current_trace_ = trace; }
   obs::TraceContext* current_trace() const { return current_trace_; }
 
@@ -177,6 +189,10 @@ class KvConnector {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* batches_c_ = nullptr;
   obs::Counter* marshaled_bytes_c_ = nullptr;
+  /// Encode, checksum and decode time on the steady clock. These sections
+  /// never block, so their wall time is their CPU time, and a steady-clock
+  /// read (~40 ns) is far cheaper than a thread-CPU syscall (~0.3-1 us),
+  /// which would otherwise cost more than a small batch's marshaling.
   obs::Counter* marshal_cpu_ns_c_ = nullptr;
   obs::Counter* range_cache_hits_c_ = nullptr;
   obs::Counter* range_cache_misses_c_ = nullptr;

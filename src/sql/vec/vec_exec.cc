@@ -274,6 +274,21 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
   base.alias = stmt.table_alias.empty() ? stmt.table : stmt.table_alias;
   base.desc = std::move(base_desc).value();
   base.offset = 0;
+  // ---- plan: base scan -----------------------------------------------------
+  // Point gets and secondary-index scans are the row engine's specialty —
+  // batching buys nothing at 0-or-1 (or few) rows per lookup. Reject them
+  // before any binding work: the row engine redoes all of it.
+  const ScanConstraints plan =
+      BuildScanConstraints(base.desc, base.alias, stmt.where.get(), params);
+  if (plan.point) return NotCovered("point lookup");
+  if (plan.eq_cols == 0) {
+    for (const auto& index : base.desc.secondaries) {
+      if (!index.column_ids.empty() &&
+          plan.eq.find(index.column_ids[0]) != plan.eq.end()) {
+        return NotCovered("secondary index scan");
+      }
+    }
+  }
   bindings.push_back(std::move(base));
 
   std::map<const Expr*, int> positions;
@@ -426,23 +441,8 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
     if (key.expr != nullptr) needs_input_keys = true;
   }
 
-  // ---- plan: base scan -----------------------------------------------------
   const TableDescriptor& desc = bindings[0].desc;
   const std::string& base_alias = bindings[0].alias;
-  const ScanConstraints plan =
-      BuildScanConstraints(desc, base_alias, stmt.where.get(), params);
-  // Point gets and secondary-index scans are the row engine's specialty —
-  // batching buys nothing at 0-or-1 (or few) rows per lookup.
-  if (plan.point) return NotCovered("point lookup");
-  if (plan.eq_cols == 0) {
-    for (const auto& index : desc.secondaries) {
-      if (!index.column_ids.empty() &&
-          plan.eq.find(index.column_ids[0]) != plan.eq.end()) {
-        return NotCovered("secondary index scan");
-      }
-    }
-  }
-
   ResultSet result;
   result.columns = item_names;
   std::vector<Row> output;

@@ -9,7 +9,9 @@
 // read-modify-write increments, which drive reads, pushes and latch-held
 // read refreshes against each other. Built to run under the TSan preset
 // (label kv_concurrency_test), where the same runs also check the
-// range-latch / directory-lock discipline for races.
+// range-latch / directory-lock discipline for races. A third test batch-
+// reads a transaction's own keys while its pipelined intent batches are
+// still draining on executor threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -293,6 +295,47 @@ TEST(KvContentionTest, ContendedReadModifyWritesLoseNoIncrement) {
                                 : 0;
     EXPECT_EQ(final_value, acked[which].load()) << "counter " << which;
   }
+}
+
+TEST(KvPipelineReadTest, MultiGetReadsPipelinedIntentsWhileTheyDrain) {
+  constexpr int kRounds = 10;
+  constexpr int kKeys = 12;
+  KVClusterOptions opts;
+  opts.num_nodes = 3;
+  opts.replication_factor = 3;
+  KVCluster cluster(opts);
+  for (int c = 0; c < kClients; ++c) {
+    VELOCE_CHECK_OK(cluster.CreateTenantKeyspace(TenantOf(c)));
+  }
+  // Declared after the cluster, so it drains and stops first.
+  storage::ThreadPoolExecutor pool(2);
+  std::atomic<int> committed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        TxnOptions txn_opts;
+        txn_opts.executor = &pool;
+        txn_opts.max_buffered_writes = 4;  // every 4th Put pipelines a batch
+        Transaction txn(&cluster, TenantOf(c), 0, nullptr, txn_opts);
+        std::vector<std::string> keys;
+        const std::string value = "r" + std::to_string(round);
+        for (int i = 0; i < kKeys; ++i) {
+          keys.push_back(TenantKey(c, i));
+          ASSERT_TRUE(txn.Put(keys.back(), value).ok());
+        }
+        // The intents are still in flight on the pool's threads.
+        std::vector<std::optional<std::string>> values;
+        ASSERT_TRUE(txn.MultiGet(keys, &values).ok());
+        for (int i = 0; i < kKeys; ++i) ASSERT_EQ(values[i], value) << i;
+        if (txn.Commit().ok()) committed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  pool.Drain();
+  // Disjoint tenants never conflict: every round commits.
+  EXPECT_EQ(committed.load(), kClients * kRounds);
 }
 
 }  // namespace

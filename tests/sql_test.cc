@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "kv/keys.h"
+#include "obs/metrics.h"
 #include "sql/datum.h"
 #include "sql/parser.h"
 #include "sql/row.h"
@@ -421,6 +422,114 @@ TEST_F(SqlEndToEndTest, InsertStillChecksForExistingPrimaryKeys) {
   EXPECT_EQ(existing.status().code(), Code::kAlreadyExists);
   Exec("ROLLBACK");
   EXPECT_EQ(Exec("SELECT v FROM t WHERE id = 1").rows[0][0].int_value(), 1);
+}
+
+TEST_F(SqlEndToEndTest, MultiRowInsertChecksEveryKeyInOneBatch) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  std::string sql = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 100; ++i) {
+    sql += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " + std::to_string(i) + ")";
+  }
+  node_->connector()->ResetFeatures();
+  EXPECT_EQ(Exec(sql).rows_affected, 100u);
+  auto f = node_->connector()->features();
+  EXPECT_EQ(f.read_batches, 1);
+  EXPECT_EQ(f.read_requests, 100);
+  EXPECT_EQ(f.write_batches, 1);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 100);
+  // A single-row INSERT: the key check, then the one-phase commit.
+  node_->connector()->ResetFeatures();
+  Exec("INSERT INTO t VALUES (100, 100)");
+  f = node_->connector()->features();
+  EXPECT_EQ(f.read_batches, 1);
+  EXPECT_EQ(f.write_batches, 1);
+}
+
+TEST_F(SqlEndToEndTest, InStatementDuplicateWritesNothing) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  node_->connector()->ResetFeatures();
+  auto dup = session_->Execute("INSERT INTO t VALUES (1, 1), (2, 2), (1, 3)");
+  EXPECT_EQ(dup.status().code(), Code::kAlreadyExists);
+  const auto f = node_->connector()->features();
+  EXPECT_EQ(f.read_batches, 1);
+  EXPECT_EQ(f.write_batches, 0);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
+}
+
+TEST_F(SqlEndToEndTest, UpsertRepeatingAKeyLeavesOneIndexEntry) {
+  Exec("CREATE TABLE users (id INT PRIMARY KEY, city STRING)");
+  Exec("CREATE INDEX users_by_city ON users (city)");
+  Exec("INSERT INTO users VALUES (1, 'ams')");
+  auto count_keys = [&] {
+    kv::BatchRequest scan;
+    scan.tenant_id = tenant_id_;
+    scan.AddScan(kv::TenantPrefix(tenant_id_), kv::TenantPrefixEnd(tenant_id_));
+    auto resp = cluster_->Send(scan);
+    VELOCE_CHECK(resp.ok()) << resp.status().ToString();
+    return resp->responses[0].rows.size();
+  };
+  const size_t before = count_keys();
+  // Each later row replaces the one before it, and retires its index entry.
+  EXPECT_EQ(Exec("UPSERT INTO users VALUES (1, 'nyc'), (1, 'sfo'), (1, 'lon')")
+                .rows_affected,
+            3u);
+  EXPECT_EQ(count_keys(), before);
+  for (const char* city : {"ams", "nyc", "sfo"}) {
+    EXPECT_EQ(Exec(std::string("SELECT COUNT(*) FROM users WHERE city = '") + city +
+                   "'")
+                  .rows[0][0]
+                  .int_value(),
+              0)
+        << city;
+  }
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM users WHERE city = 'lon'").rows[0][0].int_value(), 1);
+  EXPECT_EQ(Exec("SELECT city FROM users WHERE id = 1").rows[0][0].string_value(), "lon");
+}
+
+TEST_F(SqlEndToEndTest, FirstFailingInsertRowDecidesTheError) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT NOT NULL)");
+  // Row 3 repeats row 1's key; row 5 is NULL in a NOT NULL column.
+  auto dup_first = session_->Execute(
+      "INSERT INTO t VALUES (1, 1), (2, 2), (1, 3), (4, 4), (5, NULL)");
+  EXPECT_EQ(dup_first.status().code(), Code::kAlreadyExists);
+  auto null_first = session_->Execute(
+      "INSERT INTO t VALUES (1, 1), (2, NULL), (1, 3)");
+  EXPECT_EQ(null_first.status().code(), Code::kInvalidArgument);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
+}
+
+TEST_F(SqlEndToEndTest, UpdateAfterNonTransactionalReadIsNotPushed) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Exec("INSERT INTO t VALUES (1, 1)");
+  EXPECT_EQ(Exec("SELECT v FROM t WHERE id = 1").rows[0][0].int_value(), 1);
+  // The UPDATE's txn starts above the read it follows, so its write is not
+  // pushed: no refused one-phase commit, no refresh, no second commit.
+  node_->connector()->ResetFeatures();
+  EXPECT_EQ(Exec("UPDATE t SET v = 2 WHERE id = 1").rows_affected, 1u);
+  const auto f = node_->connector()->features();
+  EXPECT_EQ(f.read_batches, 1);
+  EXPECT_EQ(f.write_batches, 1);
+}
+
+TEST_F(SqlEndToEndTest, MarshaledPointReadCountsMarshalAndKvCpu) {
+  obs::MetricsRegistry registry;
+  SqlNode::Options options;
+  options.obs.metrics = &registry;
+  SqlNode node(2, options, cluster_->clock());
+  ASSERT_TRUE(node.StartProcess().ok());
+  ASSERT_TRUE(node.StampTenant(service_.get(), cluster_.get(), cert_).ok());
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Exec("INSERT INTO t VALUES (1, 1)");
+  KvConnector* connector = node.connector();
+  ASSERT_EQ(connector->mode(), ProcessMode::kSeparateProcess);
+  const double marshal0 = registry.Sum("veloce_sql_marshal_cpu_ns_total");
+  const Nanos kv0 = connector->kv_cpu_nanos();
+  std::unique_ptr<TenantTxn> txn = connector->BeginTransaction();
+  std::optional<std::string> value;
+  ASSERT_TRUE(txn->Get("no-such-key", &value).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_GT(registry.Sum("veloce_sql_marshal_cpu_ns_total"), marshal0);
+  EXPECT_GT(connector->kv_cpu_nanos(), kv0);
 }
 
 TEST_F(SqlEndToEndTest, IndexJoinOnPrimaryKey) {

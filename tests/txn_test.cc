@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <optional>
 #include <set>
@@ -840,6 +841,95 @@ TEST_F(TxnPathTest, PipelinedFlushesProveBeforeParallelCommit) {
   auto resp = cluster_->Send(scan);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->responses[0].rows.size(), 60u);
+}
+
+TEST_F(TxnPathTest, MultiGetAnswersBufferedKeysWithoutSendingThem) {
+  {
+    Transaction init(cluster_.get(), 10);
+    ASSERT_TRUE(init.Put(Key("mg-b"), "b0").ok());
+    ASSERT_TRUE(init.Commit().ok());
+  }
+  std::vector<std::string> sent_keys;
+  auto sender = [&](const BatchRequest& req) {
+    for (const auto& r : req.requests) sent_keys.push_back(r.key);
+    return cluster_->Send(req);
+  };
+  Transaction txn(cluster_.get(), 10, 0, sender);
+  ASSERT_TRUE(txn.Put(Key("mg-a"), "a1").ok());
+  ASSERT_TRUE(txn.Delete(Key("mg-d")).ok());
+  std::vector<std::optional<std::string>> values;
+  ASSERT_TRUE(txn.MultiGet({Key("mg-a"), Key("mg-b"), Key("mg-c"), Key("mg-d")},
+                           &values)
+                  .ok());
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[0], "a1");
+  EXPECT_EQ(values[1], "b0");
+  EXPECT_FALSE(values[2].has_value());
+  EXPECT_FALSE(values[3].has_value());
+  // One batch carried the two keys the buffer could not answer; only those
+  // two are tracked as read.
+  EXPECT_EQ(txn.batches_sent(), 1u);
+  EXPECT_EQ(sent_keys, (std::vector<std::string>{Key("mg-b"), Key("mg-c")}));
+  EXPECT_EQ(txn.read_span_count(), 2u);
+  // Every key buffered: nothing is sent.
+  ASSERT_TRUE(txn.MultiGet({Key("mg-d"), Key("mg-a")}, &values).ok());
+  EXPECT_EQ(values[1], "a1");
+  EXPECT_EQ(txn.batches_sent(), 1u);
+  ASSERT_TRUE(txn.Commit().ok());
+}
+
+TEST_F(TxnPathTest, MultiGetWaitsForFlushedIntents) {
+  storage::ThreadPoolExecutor pool(2);
+  TxnOptions opts;
+  opts.executor = &pool;
+  opts.max_buffered_writes = 8;
+  // Intent batches land late, so a read that does not wait for the
+  // pipeline misses the txn's own writes.
+  auto slow_writes = [&](const BatchRequest& req) {
+    if (!req.IsReadOnly()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return cluster_->Send(req);
+  };
+  {
+    Transaction txn(cluster_.get(), 10, 0, slow_writes, opts);
+    std::vector<std::string> keys;
+    for (int i = 0; i < 16; ++i) {
+      keys.push_back(Key("mgw" + std::to_string(100 + i)));
+      ASSERT_TRUE(txn.Put(keys.back(), "v" + std::to_string(i)).ok());
+    }
+    keys.push_back(Key("mgw-absent"));
+    std::vector<std::optional<std::string>> values;
+    ASSERT_TRUE(txn.MultiGet(keys, &values).ok());
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(values[i], "v" + std::to_string(i)) << i;
+    EXPECT_FALSE(values[16].has_value());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  pool.Drain();
+}
+
+TEST_F(TxnPathTest, MultiGetRefreshesEveryKeyItRead) {
+  // T reads a, b and c in one batch; U commits a write of b above T's read.
+  // A non-txn read of k pushes T's write of k, so T must refresh its reads:
+  // b's span must be among them, and U's version fails the refresh.
+  const std::string k = Key("mgr-k");
+  Transaction t(cluster_.get(), 10);
+  std::vector<std::optional<std::string>> values;
+  ASSERT_TRUE(
+      t.MultiGet({Key("mgr-a"), Key("mgr-b"), Key("mgr-c")}, &values).ok());
+  EXPECT_EQ(t.read_span_count(), 3u);
+  {
+    Transaction u(cluster_.get(), 10);
+    ASSERT_TRUE(u.Put(Key("mgr-b"), "u").ok());
+    ASSERT_TRUE(u.Commit().ok());
+    ASSERT_GT(u.commit_ts(), t.read_ts());
+  }
+  BatchRequest get;
+  get.tenant_id = 10;
+  get.ts = cluster_->Now();
+  get.AddGet(k);
+  ASSERT_TRUE(cluster_->Send(get).ok());
+  ASSERT_TRUE(t.Put(k, "t").ok());
+  const Status s = t.Commit();
+  EXPECT_TRUE(s.IsTransactionRetry()) << s.ToString();
 }
 
 TEST_F(TxnPathTest, PipelineFailureAfterStagingCommitsWhenWritesApplied) {
