@@ -112,17 +112,24 @@ billing::EstimatedCpuModel Calibrate() {
     const Nanos cpu0 = ThreadCpuNanos();
     uint64_t key = 0;
     for (int b = 0; b < cfg.batches; ++b) {
+      if (cfg.write) {
+        // SQL writes only in transactions, and the held-out workloads'
+        // write features count those batches (intents and commit), so the
+        // write configs write the same way: one transaction per batch.
+        auto txn = connector->BeginTransaction();
+        for (int r = 0; r < cfg.requests_per_batch; ++r) {
+          VELOCE_CHECK_OK(txn->Put("cal/" + std::to_string(key++ % 2000),
+                                   rng.String(static_cast<size_t>(cfg.value_bytes))));
+        }
+        VELOCE_CHECK_OK(txn->Commit());
+        continue;
+      }
       kv::BatchRequest req;
       if (cfg.scan) {
         req.AddScan("cal/", "cal0", 100);
       } else {
         for (int r = 0; r < cfg.requests_per_batch; ++r) {
-          const std::string k = "cal/" + std::to_string(key++ % 2000);
-          if (cfg.write) {
-            req.AddPut(k, rng.String(static_cast<size_t>(cfg.value_bytes)));
-          } else {
-            req.AddGet(k);
-          }
+          req.AddGet("cal/" + std::to_string(key++ % 2000));
         }
       }
       VELOCE_CHECK(connector->Send(req).ok());

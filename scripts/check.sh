@@ -15,6 +15,8 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${ROOT}"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+# The built-in "cluster weather" scenarios; each writes BENCH_<name>.json.
+SCENARIOS=(black-friday tenant-stampede az-outage rolling-upgrade-under-chaos gray-partition range-storm)
 
 run_preset() {
   local preset="$1"
@@ -115,7 +117,7 @@ scenario_smoke() {
   mkdir -p "${out}"
   ./build/bench/bench_scenarios --fast --seed=0xC10D --out="${out}"
   local name
-  for name in black-friday tenant-stampede az-outage rolling-upgrade-under-chaos gray-partition range-storm; do
+  for name in "${SCENARIOS[@]}"; do
     local json="${out}/BENCH_${name}.json"
     [[ -s "${json}" ]] || { echo "missing ${json}" >&2; exit 1; }
     if command -v python3 >/dev/null 2>&1; then
@@ -130,9 +132,21 @@ scenario_smoke() {
 
 # Full scenario run: uncompressed timelines at the default seed, snapshots
 # committed-to-repo-root BENCH_<scenario>.json (the trajectory artifacts).
+# The snapshots are deterministic, so each must regenerate byte-identical to
+# its committed copy; a difference is a behavior change to review and commit.
 scenario_full() {
   echo "==> scenario full run (default seed, repo root snapshots)"
   ./build/bench/bench_scenarios --out="${ROOT}"
+  local snapshots=() name
+  for name in "${SCENARIOS[@]}"; do snapshots+=("BENCH_${name}.json"); done
+  git -C "${ROOT}" rev-parse --is-inside-work-tree >/dev/null 2>&1 || {
+    echo "the snapshot check needs a git work tree at ${ROOT}" >&2
+    exit 1
+  }
+  git -C "${ROOT}" diff --exit-code HEAD -- "${snapshots[@]}" || {
+    echo "scenario snapshots differ from the committed ones (HEAD)" >&2
+    exit 1
+  }
   echo "scenario full OK"
 }
 

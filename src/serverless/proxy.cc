@@ -190,6 +190,7 @@ void Proxy::ExecuteAttempt(uint64_t conn_id, const std::string& sql,
   const bool node_alive = conn->session != nullptr && conn->node != nullptr &&
                           conn->node->state() == sql::SqlNode::State::kReady;
   if (node_alive) {
+    const bool in_txn = conn->session->in_transaction();
     auto result = conn->session->Execute(sql);
     if (result.ok()) {
       EarnRetryBudget(conn->tenant);
@@ -202,11 +203,14 @@ void Proxy::ExecuteAttempt(uint64_t conn_id, const std::string& sql,
     // Redirect: short pause (enough for a liveness tick to move the lease
     // to a reachable replica), retry on the same session, no budget spent
     // — blind exponential backoff would punish the tenant for a
-    // server-side routing change.
+    // server-side routing change. Inside an explicit transaction the
+    // failed statement has aborted the txn (and may have written before
+    // the rejected batch), so the error goes back to the client, which
+    // must ROLLBACK and retry the whole transaction.
     const Code code = result.status().code();
     if ((code == Code::kLeaseEpochMismatch ||
          code == Code::kRangeKeyMismatch) &&
-        attempt < options_.failover_max_attempts) {
+        !in_txn && attempt < options_.failover_max_attempts) {
       lease_redirects_c_->Inc();
       loop_->Schedule(options_.redirect_backoff,
                       [this, conn_id, sql, idempotent, attempt,

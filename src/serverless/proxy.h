@@ -46,7 +46,9 @@ class Proxy {
     /// rejection. These are definitive pre-apply rejections — the cluster
     /// names a new leaseholder as soon as liveness expires the old lease —
     /// so the redirect needs only enough delay for a heartbeat tick, not
-    /// the full failover backoff, and spends no retry-budget tokens.
+    /// the full failover backoff, and spends no retry-budget tokens. A
+    /// statement inside an explicit transaction is not redirected: its
+    /// failure aborts the txn, so the client gets the error.
     Nanos redirect_backoff = 5 * kMilli;
 
     /// Proxy telemetry (connections, migrations, security rejections).

@@ -37,11 +37,30 @@ StatusOr<ResultSet> Session::Execute(const std::string& sql,
 
 StatusOr<ResultSet> Session::ExecuteStmt(const std::string& sql,
                                          const std::vector<Datum>& params) {
-  VELOCE_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, Parse(sql));
+  StatusOr<std::unique_ptr<Statement>> stmt = Parse(sql);
+  StatusOr<ResultSet> result = stmt.ok() ? RunStmt(**stmt, params) : stmt.status();
+  if (!result.ok() && txn_ != nullptr && !txn_aborted_) {
+    // The failed statement may have left some of its writes in the txn;
+    // drop them all now, and hold the block open until ROLLBACK or COMMIT.
+    (void)txn_->Rollback();
+    txn_aborted_ = true;
+  }
+  return result;
+}
+
+StatusOr<ResultSet> Session::RunStmt(const Statement& stmt,
+                                     const std::vector<Datum>& params) {
   ++statements_executed_;
-  switch (stmt->kind) {
+  const bool ends_block = stmt.kind == Statement::Kind::kTxn &&
+                          stmt.txn.kind != TxnStmt::Kind::kBegin;
+  if (txn_aborted_ && !ends_block) {
+    return Status::InvalidArgument(
+        "current transaction is aborted, commands ignored until end of "
+        "transaction block");
+  }
+  switch (stmt.kind) {
     case Statement::Kind::kTxn:
-      switch (stmt->txn.kind) {
+      switch (stmt.txn.kind) {
         case TxnStmt::Kind::kBegin: {
           if (txn_ != nullptr) {
             return Status::InvalidArgument("transaction already open");
@@ -64,6 +83,12 @@ StatusOr<ResultSet> Session::ExecuteStmt(const std::string& sql,
           if (txn_ == nullptr) {
             return Status::InvalidArgument("no transaction to commit");
           }
+          if (txn_aborted_) {
+            txn_.reset();
+            txn_aborted_ = false;
+            return Status::InvalidArgument(
+                "transaction was aborted by a failed statement and rolled back");
+          }
           Status s = txn_->Commit();
           txn_.reset();
           VELOCE_RETURN_IF_ERROR(s);
@@ -73,15 +98,16 @@ StatusOr<ResultSet> Session::ExecuteStmt(const std::string& sql,
           if (txn_ == nullptr) {
             return Status::InvalidArgument("no transaction to roll back");
           }
-          Status s = txn_->Rollback();
+          Status s = txn_->Rollback();  // a no-op once aborted
           txn_.reset();
+          txn_aborted_ = false;
           VELOCE_RETURN_IF_ERROR(s);
           return ResultSet{};
         }
       }
       return Status::Internal("unhandled txn statement");
     case Statement::Kind::kSet:
-      SetSetting(stmt->set.name, stmt->set.value);
+      SetSetting(stmt.set.name, stmt.set.value);
       return ResultSet{};
     default: {
       // The paper's future-work push-down ships behind a session setting.
@@ -109,16 +135,7 @@ StatusOr<ResultSet> Session::ExecuteStmt(const std::string& sql,
         }
       }
       executor_.set_engine(engine);
-      StatusOr<ResultSet> result = executor_.Execute(*stmt, txn_.get(), &params);
-      if (!result.ok() && txn_ != nullptr &&
-          (result.status().code() == Code::kTransactionAborted ||
-           result.status().IsTransactionRetry())) {
-        // The explicit transaction is dead; discard it so the client can
-        // BEGIN again after observing the retryable error.
-        (void)txn_->Rollback();
-        txn_.reset();
-      }
-      return result;
+      return executor_.Execute(stmt, txn_.get(), &params);
     }
   }
 }

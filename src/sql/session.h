@@ -33,7 +33,10 @@ class Session {
 
   /// Parses and executes one statement. BEGIN/COMMIT/ROLLBACK and SET are
   /// handled here; everything else goes to the executor under the current
-  /// transaction (or an implicit one).
+  /// transaction (or an implicit one). A statement that fails inside an
+  /// explicit transaction aborts it, as in CockroachDB and Postgres: its
+  /// writes are rolled back, later statements fail until ROLLBACK or
+  /// COMMIT ends the block, and COMMIT then fails too.
   StatusOr<ResultSet> Execute(const std::string& sql,
                               const std::vector<Datum>& params = {});
 
@@ -78,6 +81,7 @@ class Session {
  private:
   StatusOr<ResultSet> ExecuteStmt(const std::string& sql,
                                   const std::vector<Datum>& params);
+  StatusOr<ResultSet> RunStmt(const Statement& stmt, const std::vector<Datum>& params);
 
   uint64_t id_;
   Catalog* catalog_;
@@ -88,6 +92,7 @@ class Session {
   std::map<std::string, std::string> settings_;
   std::map<std::string, std::string> prepared_;  // name -> SQL text
   std::unique_ptr<TenantTxn> txn_;
+  bool txn_aborted_ = false;  // txn_ rolled back by a failed statement
   uint64_t statements_executed_ = 0;
 };
 

@@ -27,9 +27,10 @@ std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t file_number,
   return it->second->block;
 }
 
-void BlockCache::Insert(uint64_t file_number, uint64_t block_idx,
-                        std::string contents) {
-  if (contents.size() > shard_capacity_) return;  // could never fit
+std::shared_ptr<const std::string> BlockCache::Insert(uint64_t file_number,
+                                                      uint64_t block_idx,
+                                                      std::string&& contents) {
+  if (contents.size() > shard_capacity_) return nullptr;  // could never fit
   const Key key{file_number, block_idx};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> l(shard.mu);
@@ -41,9 +42,11 @@ void BlockCache::Insert(uint64_t file_number, uint64_t block_idx,
   }
   auto block = std::make_shared<const std::string>(std::move(contents));
   shard.usage.fetch_add(block->size(), std::memory_order_relaxed);
-  shard.lru.push_front(Entry{key, std::move(block)});
+  shard.lru.push_front(Entry{key, block});
   shard.index[key] = shard.lru.begin();
+  // The new front entry fits the shard, so eviction never reaches it.
   EvictIfNeededLocked(shard);
+  return block;
 }
 
 void BlockCache::EvictFile(uint64_t file_number) {

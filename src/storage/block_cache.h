@@ -36,10 +36,13 @@ class BlockCache {
   /// shared_ptr stays valid even if the entry is evicted afterwards.
   std::shared_ptr<const std::string> Lookup(uint64_t file_number, uint64_t block_idx);
 
-  /// Inserts (or refreshes) a block. A block larger than the shard capacity
-  /// is rejected outright: admitting it could never be paid for by evicting
-  /// others, and would otherwise pin the cache over capacity forever.
-  void Insert(uint64_t file_number, uint64_t block_idx, std::string contents);
+  /// Inserts (or refreshes) a block and returns the entry it stored. A block
+  /// larger than the shard capacity is rejected outright: admitting it could
+  /// never be paid for by evicting others, and would otherwise pin the cache
+  /// over capacity forever. A rejected block returns nullptr and leaves
+  /// `contents` unmoved.
+  std::shared_ptr<const std::string> Insert(uint64_t file_number, uint64_t block_idx,
+                                            std::string&& contents);
 
   /// Drops every block of a file (after compaction deletes it).
   void EvictFile(uint64_t file_number);

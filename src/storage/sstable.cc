@@ -223,10 +223,10 @@ Status Table::ReadBlock(size_t block_idx,
   }
   raw.resize(e.size);
   if (cache_ != nullptr) {
-    cache_->Insert(file_number_, block_idx, raw);
-    *out = cache_->Lookup(file_number_, block_idx);
+    *out = cache_->Insert(file_number_, block_idx, std::move(raw));
     if (*out != nullptr) return Status::OK();
   }
+  // No cache, or a block too large for it (Insert left `raw` unmoved).
   *out = std::make_shared<const std::string>(std::move(raw));
   return Status::OK();
 }

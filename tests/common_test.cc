@@ -319,16 +319,47 @@ TEST(CodecTest, PrefixEnd) {
 // ---------------------------------------------------------------------------
 
 TEST(Crc32cTest, KnownValues) {
-  // Standard check value: crc32c("123456789") = 0xE3069283.
-  EXPECT_EQ(crc32c::Value("123456789", 9), 0xE3069283u);
+  // Standard check value crc32c("123456789") = 0xE3069283, then the
+  // RFC 3720 (iSCSI) section B.4 vectors; each for both kernels.
+  std::string zeros(32, '\0'), ones(32, '\xff'), ascending(32, 0), descending(32, 0);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const std::string check = "123456789";
+  const std::pair<const std::string*, uint32_t> vectors[] = {
+      {&check, 0xE3069283u},     {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},      {&ascending, 0x46DD794Eu},
+      {&descending, 0x113FDB5Cu},
+  };
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(crc32c::Value(data->data(), data->size()), want);
+    EXPECT_EQ(crc32c::ExtendPortable(0, data->data(), data->size()), want);
+  }
 }
 
 TEST(Crc32cTest, ExtendEqualsWhole) {
   const std::string data = "hello world, this is a crc test";
   const uint32_t whole = crc32c::Value(data.data(), data.size());
-  const uint32_t part = crc32c::Extend(crc32c::Value(data.data(), 10),
-                                       data.data() + 10, data.size() - 10);
-  EXPECT_EQ(whole, part);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t part = crc32c::Extend(crc32c::Value(data.data(), split),
+                                         data.data() + split, data.size() - split);
+    EXPECT_EQ(whole, part) << "split " << split;
+  }
+}
+
+TEST(Crc32cTest, ExtendMatchesPortableAtEveryLengthAndAlignment) {
+  Random rnd(0xC3C32C);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const auto init = static_cast<uint32_t>(rnd.Next());
+      const char* data = buf.data() + offset;
+      ASSERT_EQ(crc32c::Extend(init, data, n), crc32c::ExtendPortable(init, data, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "serverless/cluster.h"
 #include "serverless/multiregion.h"
+#include "sim/faulty_mesh.h"
 
 namespace veloce::serverless {
 namespace {
@@ -254,6 +255,46 @@ TEST_F(ServerlessTest, NonIdempotentRetriesOnlyWhenNodeNeverSawTheRequest) {
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   rs = cluster_->ExecuteSync(conn, "SELECT COUNT(*) FROM t");
   EXPECT_EQ(rs->rows[0][0].int_value(), 1);
+}
+
+TEST_F(ServerlessTest, LeaseRedirectInsideExplicitTxnReturnsTheError) {
+  sim::FaultyMesh mesh(0x1EA5E);
+  kv::KVCluster* kv = cluster_->kv_cluster();
+  kv->set_transport(&mesh);
+  obs::MetricsRegistry* m = cluster_->metrics();
+  auto conn = *cluster_->ConnectSync(tenant_);
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "CREATE TABLE t (id INT PRIMARY KEY)").ok());
+  kv->TickHeartbeats();  // arms epoch leases
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "BEGIN").ok());
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "INSERT INTO t VALUES (1)").ok());
+
+  // Cut the tenant's leaseholder off and let its liveness lapse with no
+  // heartbeat tick: its lease is stale, so the next batch is rejected with
+  // LeaseEpochMismatch before it applies.
+  const kv::NodeId holder = kv->LookupRange(kv::TenantPrefix(tenant_))->leaseholder;
+  mesh.Isolate(holder, 3);
+  cluster_->loop()->RunFor(4 * kSecond);
+  auto rs = cluster_->ExecuteSync(conn, "INSERT INTO t VALUES (2)");
+  ASSERT_FALSE(rs.ok());
+  // The statement aborted the txn, so the proxy does not replay it on the
+  // session: the client sees the rejection itself.
+  EXPECT_EQ(rs.status().code(), Code::kLeaseEpochMismatch) << rs.status().ToString();
+  EXPECT_EQ(m->Sum("veloce_serverless_lease_redirects_total"), 0.0);
+  rs = cluster_->ExecuteSync(conn, "SELECT COUNT(*) FROM t");
+  EXPECT_EQ(rs.status().code(), Code::kInvalidArgument) << rs.status().ToString();
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "ROLLBACK").ok());
+
+  // Once a heartbeat tick moves the lease, the retried transaction commits.
+  kv->TickHeartbeats();
+  for (const char* stmt : {"BEGIN", "INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)",
+                           "COMMIT"}) {
+    rs = cluster_->ExecuteSync(conn, stmt);
+    ASSERT_TRUE(rs.ok()) << stmt << ": " << rs.status().ToString();
+  }
+  rs = cluster_->ExecuteSync(conn, "SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows[0][0].int_value(), 2);
+  kv->set_transport(nullptr);  // the mesh dies before the cluster
 }
 
 TEST_F(ServerlessTest, EmptyRetryBudgetFailsFast) {

@@ -456,6 +456,42 @@ TEST_F(SqlEndToEndTest, InStatementDuplicateWritesNothing) {
   EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
 }
 
+TEST_F(SqlEndToEndTest, FailedStatementAbortsExplicitTxn) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Exec("BEGIN");
+  auto dup = session_->Execute("INSERT INTO t VALUES (1, 1), (1, 2)");
+  EXPECT_EQ(dup.status().code(), Code::kAlreadyExists);
+  auto commit = session_->Execute("COMMIT");
+  EXPECT_FALSE(commit.ok());
+  EXPECT_FALSE(commit.status().IsTransactionRetry());
+  EXPECT_FALSE(session_->in_transaction());
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
+}
+
+TEST_F(SqlEndToEndTest, AbortedTxnRejectsStatementsUntilRollback) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES (1, 1)");
+  EXPECT_FALSE(session_->Execute("SELECT nonsense FROM").ok());  // parse error
+  EXPECT_TRUE(session_->in_transaction());
+  for (const char* sql : {"SELECT COUNT(*) FROM t", "INSERT INTO t VALUES (2, 2)",
+                          "BEGIN", "SET vectorize = off"}) {
+    auto rs = session_->Execute(sql);
+    EXPECT_FALSE(rs.ok()) << sql;
+    EXPECT_NE(rs.status().ToString().find("current transaction is aborted"),
+              std::string::npos)
+        << rs.status().ToString();
+  }
+  EXPECT_TRUE(session_->Execute("ROLLBACK").ok());
+  EXPECT_FALSE(session_->in_transaction());
+  // The session is usable again, and nothing of the aborted txn is visible.
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 0);
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES (3, 3)");
+  Exec("COMMIT");
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 1);
+}
+
 TEST_F(SqlEndToEndTest, UpsertRepeatingAKeyLeavesOneIndexEntry) {
   Exec("CREATE TABLE users (id INT PRIMARY KEY, city STRING)");
   Exec("CREATE INDEX users_by_city ON users (city)");

@@ -214,7 +214,7 @@ TEST_F(SqlVecEdgeTest, ForceVectorizeErrorsOnUncoveredShapes) {
   Exec("BEGIN");
   result = session_->Execute("SELECT * FROM t");
   EXPECT_TRUE(result.status().code() == Code::kNotSupported);
-  Exec("COMMIT");
+  Exec("ROLLBACK");  // the failed statement aborted the transaction
   Exec("SET vectorize = on");
   // Covered shapes still work under force.
   auto forced = session_->Execute("SELECT SUM(a) FROM t");

@@ -1092,6 +1092,30 @@ TEST(BlockCacheTest, OversizedForShardBudgetRejected) {
   EXPECT_EQ(cache.usage_bytes(), 0u);
 }
 
+TEST(BlockCacheTest, InsertReturnsTheStoredBlock) {
+  BlockCache cache(1 << 20, /*num_shards=*/1);
+  std::string contents(100, 'a');
+  auto stored = cache.Insert(1, 0, std::move(contents));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, std::string(100, 'a'));
+  EXPECT_EQ(cache.Lookup(1, 0), stored);  // the very entry, not a copy
+  EXPECT_EQ(cache.misses(), 0u);          // Insert is not a lookup
+  // A refresh returns the new entry and the old holder keeps the old one.
+  auto refreshed = cache.Insert(1, 0, std::string(50, 'b'));
+  ASSERT_NE(refreshed, nullptr);
+  EXPECT_EQ(cache.Lookup(1, 0), refreshed);
+  EXPECT_EQ(*stored, std::string(100, 'a'));
+  EXPECT_EQ(cache.usage_bytes(), 50u);
+}
+
+TEST(BlockCacheTest, OversizedInsertReturnsNullAndKeepsContents) {
+  BlockCache cache(64, /*num_shards=*/1);
+  std::string big(1000, 'x');
+  EXPECT_EQ(cache.Insert(1, 0, std::move(big)), nullptr);
+  EXPECT_EQ(big, std::string(1000, 'x'));  // refused, so not moved from
+  EXPECT_EQ(cache.usage_bytes(), 0u);
+}
+
 TEST(BlockCacheTest, ShardedCountersSumAcrossShards) {
   BlockCache cache(1 << 20, /*num_shards=*/4);
   ASSERT_EQ(cache.num_shards(), 4u);
