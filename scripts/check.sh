@@ -107,6 +107,23 @@ rangestorm_smoke() {
   echo "range-storm smoke OK"
 }
 
+# File-size bound on src/kv: KVCluster is split into one file per mechanism
+# (range directory, liveness, replication, txn recovery, data path), and a
+# file past 800 lines is a mechanism growing back into a monolith.
+kv_size_check() {
+  echo "==> src/kv file sizes (at most 800 lines each)"
+  local f lines over=0
+  for f in src/kv/*.h src/kv/*.cc; do
+    lines="$(wc -l < "${f}")"
+    if (( lines > 800 )); then
+      echo "${f}: ${lines} lines, over the 800-line bound" >&2
+      over=1
+    fi
+  done
+  (( over == 0 )) || exit 1
+  echo "src/kv file sizes OK"
+}
+
 # Scenario smoke: all six built-in "cluster weather" scenarios at a fixed
 # seed in fast mode (compressed timelines), each asserting its invariants
 # and emitting a parseable BENCH_<scenario>.json; plus the scenario-labeled
@@ -171,11 +188,11 @@ rangestorm_full() {
 }
 
 case "${1:-}" in
-  "")     run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke ;;
+  "")     kv_size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke ;;
   --asan) run_preset asan ;;
   --tsan) run_preset tsan ;;
-  --full) run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; scenario_full; rangestorm_full ;;
-  --all)  run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; run_preset asan; run_preset tsan ;;
+  --full) kv_size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; scenario_full; rangestorm_full ;;
+  --all)  kv_size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; run_preset asan; run_preset tsan ;;
   *)      echo "usage: scripts/check.sh [--asan|--tsan|--full|--all]" >&2; exit 2 ;;
 esac
 

@@ -22,26 +22,11 @@ bool GetTimestamp(Slice* in, Timestamp* ts) {
 
 }  // namespace
 
-void BatchRequest::AddGet(Slice key) {
-  RequestUnion r;
-  r.type = RequestType::kGet;
+RequestUnion& BatchRequest::Add(RequestType type, Slice key) {
+  RequestUnion& r = requests.emplace_back();
+  r.type = type;
   r.key = key.ToString();
-  requests.push_back(std::move(r));
-}
-
-void BatchRequest::AddPut(Slice key, Slice value) {
-  RequestUnion r;
-  r.type = RequestType::kPut;
-  r.key = key.ToString();
-  r.value = value.ToString();
-  requests.push_back(std::move(r));
-}
-
-void BatchRequest::AddDelete(Slice key) {
-  RequestUnion r;
-  r.type = RequestType::kDelete;
-  r.key = key.ToString();
-  requests.push_back(std::move(r));
+  return r;
 }
 
 void BatchRequest::AddScan(Slice start, Slice end, uint64_t limit) {
@@ -50,18 +35,15 @@ void BatchRequest::AddScan(Slice start, Slice end, uint64_t limit) {
 
 void BatchRequest::AddScanWithPushdown(Slice start, Slice end, uint64_t limit,
                                        Slice pushdown_spec) {
-  RequestUnion r;
-  r.type = RequestType::kScan;
-  r.key = start.ToString();
+  RequestUnion& r = Add(RequestType::kScan, start);
   r.end_key = end.ToString();
   r.limit = limit;
   r.pushdown = pushdown_spec.ToString();
-  requests.push_back(std::move(r));
 }
 
 bool BatchRequest::IsReadOnly() const {
   for (const auto& r : requests) {
-    if (r.type == RequestType::kPut || r.type == RequestType::kDelete) return false;
+    if (r.IsWrite()) return false;
   }
   return true;
 }

@@ -44,6 +44,10 @@ struct RequestUnion {
   /// cluster's registered pushdown hook (the paper's future-work row
   /// filtering and projection push-down; empty = none).
   std::string pushdown;
+
+  bool IsWrite() const {
+    return type == RequestType::kPut || type == RequestType::kDelete;
+  }
 };
 
 /// One KV RPC. When the SQL layer runs in a separate process (Serverless
@@ -84,9 +88,16 @@ struct BatchRequest {
 
   std::vector<RequestUnion> requests;
 
-  void AddGet(Slice key);
-  void AddPut(Slice key, Slice value);
-  void AddDelete(Slice key);
+  void AddGet(Slice key) { Add(RequestType::kGet, key); }
+  void AddPut(Slice key, Slice value) {
+    Add(RequestType::kPut, key).value = value.ToString();
+  }
+  void AddDelete(Slice key) { Add(RequestType::kDelete, key); }
+  /// AddPut, or AddDelete when `tombstone`.
+  void AddWrite(Slice key, Slice value, bool tombstone) {
+    if (tombstone) return AddDelete(key);
+    AddPut(key, value);
+  }
   void AddScan(Slice start, Slice end, uint64_t limit = 0);
   /// Scan with a pushdown spec (see RequestUnion::pushdown).
   void AddScanWithPushdown(Slice start, Slice end, uint64_t limit,
@@ -98,6 +109,9 @@ struct BatchRequest {
 
   std::string Encode() const;
   static StatusOr<BatchRequest> Decode(Slice data);
+
+ private:
+  RequestUnion& Add(RequestType type, Slice key);
 };
 
 struct ResponseUnion {

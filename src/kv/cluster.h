@@ -2,7 +2,6 @@
 #define VELOCE_KV_CLUSTER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -15,11 +14,14 @@
 #include "kv/batch.h"
 #include "obs/obs_context.h"
 #include "kv/keys.h"
+#include "kv/liveness.h"
 #include "kv/node.h"
-#include "kv/range.h"
+#include "kv/range_directory.h"
 #include "kv/replica_transport.h"
+#include "kv/replication.h"
 #include "kv/timestamp_oracle.h"
 #include "kv/txn.h"
+#include "kv/txn_recovery.h"
 
 namespace veloce::kv {
 
@@ -39,11 +41,10 @@ struct KVClusterOptions {
   /// stays below this threshold.
   double merge_qps_threshold = 32.0;
   /// How long both neighbours must stay cooled before MaybeMergeRanges()
-  /// fuses them (hysteresis against split/merge flapping).
+  /// fuses them (hysteresis against split/merge flapping). Merged ranges
+  /// stay below half of range_split_bytes, so a merge never immediately
+  /// re-triggers a size split.
   Nanos merge_dwell = 10 * kSecond;
-  /// Merged ranges must stay below this (0 = half of range_split_bytes),
-  /// so a merge never immediately re-triggers a size split.
-  uint64_t merge_max_bytes = 0;
   /// Region per node; sized to num_nodes or empty (all "local").
   std::vector<std::string> node_regions;
   /// Template for each node's engine (dir is overridden per node).
@@ -52,11 +53,6 @@ struct KVClusterOptions {
   /// by follower replicas; writes are always pushed above the closed
   /// timestamp so follower reads stay consistent.
   Nanos closed_timestamp_interval = 3 * kSecond;
-  /// Batched timestamp oracle: HLC timestamps reserved per refill and the
-  /// cache level that triggers an async prefetch (on
-  /// engine_options.background_executor when one is configured).
-  uint32_t timestamp_batch_size = 256;
-  uint32_t timestamp_refill_threshold = 64;
   /// Telemetry injection shared by the cluster, its nodes and their
   /// engines (per-node series carry a node=<id> label). When obs.metrics
   /// is null the cluster owns a private registry. obs.clock is a fallback
@@ -95,23 +91,10 @@ using ScanFragmentHook = std::function<StatusOr<std::vector<MvccScanEntry>>(
 /// RPCs; here they are one object graph, with the process boundary's
 /// marshaling cost modeled explicitly at the SQL/KV connector.
 ///
-/// Concurrency: the range directory (`ranges_`, `by_start_`, every range's
-/// descriptor, `nodes_`, liveness, the transport) sits behind `dir_mu_`, a
-/// shared_mutex; each range's mutable state (timestamp cache, replication
-/// log, load tracker, approximate size, pending move) behind that range's
-/// own latch. The data path — Send, 1PC, CommitTxn/AbortTxn, staging
-/// recovery, AnyNewerVersions, introspection — holds the directory shared
-/// and at most one range latch at a time, with replication and engine I/O
-/// under the latch, so requests on different ranges run in parallel; a
-/// step that reaches another range (a scan crossing a boundary, recovery of
-/// a staged txn) releases the current latch first and, after re-taking it,
-/// re-checks whatever it had checked under it. Topology changes
-/// (split, merge, replica moves, lease moves, heartbeats, node add/restart,
-/// catch-up, tenant keyspace create/destroy/GC) hold the directory
-/// exclusively and need no latches. Below both sit leaf locks that never
-/// call back out: each engine, TxnRegistry, the HLC, the timestamp oracle
-/// and KVNode's tenant byte accounting. docs/TXN.md ("Concurrency") walks
-/// through the hierarchy.
+/// The class keeps the data path (cluster.cc); each other mechanism is a
+/// component whose .cc file also holds the entry points that drive it:
+/// RangeDirectory, Liveness, Replication and TxnRecovery. Their shared lock
+/// order is written down in range_directory.h.
 class KVCluster {
  public:
   explicit KVCluster(KVClusterOptions options);
@@ -340,137 +323,47 @@ class KVCluster {
   const TxnMetricSet& txn_metrics() const { return txn_metrics_; }
 
  private:
-  /// In-flight pipelined replica move (one per range). The snapshot floor
-  /// pins log truncation so Finish can replay the delta; the cursor resumes
-  /// the chunked span copy across Step calls.
-  struct PendingMove {
-    NodeId from = 0;
-    NodeId to = 0;
-    NodeId source = 0;
-    uint64_t snapshot_floor = 0;
-    std::string cursor;      ///< next engine key to process ("" = span start)
-    bool clearing = true;    ///< phase 1 wipes the target's stale span
-    bool copy_done = false;
-  };
+  using Writes = std::vector<const RequestUnion*>;
 
-  struct RangeState {
-    /// Guards everything below `desc`. `desc` itself changes only under
-    /// the exclusive directory lock, so a shared holder reads it freely.
-    std::mutex latch;
-    RangeDescriptor desc;
-    TimestampCache tscache;
-    ReplicationLog log;
-    uint64_t approx_bytes = 0;
-    RangeLoadTracker load;
-    /// Clock time the range's load first dropped below the merge threshold
-    /// (-1 = currently hot); MaybeMergeRanges maintains it.
-    Nanos cooled_since = -1;
-    std::optional<PendingMove> pending_move;
-  };
-
-  enum class SplitReason { kManual, kSize, kLoad };
-
-  using Latch = std::unique_lock<std::mutex>;
-
-  // All Locked methods require dir_mu_ (shared or exclusive). A RangeState
-  // argument additionally requires that range's latch unless dir_mu_ is
-  // held exclusively. Methods taking a Latch* may release and re-acquire
-  // it (conflict recovery, scans moving to the next range).
-  RangeState* LookupRangeLocked(Slice key);
-  StatusOr<RangeState*> FindRangeLocked(RangeId id);
-  Status CheckTenantBoundsLocked(const BatchRequest& req, Slice key,
-                                 Slice end_key) const;
-  Status ExecuteReadLocked(RangeState* range, Latch* latch,
-                           const BatchRequest& req, const RequestUnion& r,
-                           ResponseUnion* out, NodeId serving_node);
-  /// Picks the node to serve a read: the leaseholder, or — for follower-
-  /// eligible stale reads — any live replica. NotFound when unservable.
+  // --- Data path (cluster.cc) ---------------------------------------------
+  /// Picks the node to serve a request: the leaseholder while it is up
+  /// with a valid lease, or — for follower-eligible stale reads — any up,
+  /// caught-up replica. Unavailable or LeaseEpochMismatch otherwise.
   StatusOr<NodeId> PickReadNodeLocked(const RangeState& range,
                                       const BatchRequest& req,
                                       const RequestUnion& r) const;
-  /// Executes writes landing on one range as a single unit: one timestamp,
-  /// one storage WriteBatch, one replication round. A transaction's
-  /// contiguous run of writes forms one group (intents, one
-  /// BumpWriteTimestamp — the server half of pipelined intent batches); a
-  /// non-transactional write is a group of one (a committed version).
-  /// `*applied_ts` receives the timestamp written at.
-  Status ExecuteWritesLocked(RangeState* range, Latch* latch,
-                             const BatchRequest& req,
-                             const std::vector<const RequestUnion*>& writes,
-                             BatchResponse* resp, Timestamp* applied_ts);
+  /// Runs the interceptor and counts the batch at `node` the first time
+  /// the batch reaches that node (`counted` is indexed by node id).
+  Status AdmitLocked(KVNode* node, const BatchRequest& req,
+                     std::vector<bool>* counted);
+  /// Repeats `read` (an MVCC get or scan) until it meets no foreign intent,
+  /// handling each one it meets at key_of(result), up to a retry cap.
+  template <typename Read, typename KeyOf>
+  auto ReadPastIntentsLocked(RangeState* range, Latch* latch, const BatchRequest& req,
+                             Read read, KeyOf key_of) -> decltype(read());
+  Status ExecuteReadLocked(RangeState* range, Latch* latch,
+                           const BatchRequest& req, const RequestUnion& r,
+                           ResponseUnion* out, NodeId serving_node);
+  /// The timestamp a write group applies at, shared by Send and 1PC. Clears
+  /// foreign intents off the group's keys first: a resolution may release
+  /// `latch`, and another txn may meanwhile lay an intent on a key already
+  /// checked, so every resolution restarts from the first key (with
+  /// `one_pc`, the txn's own intent means 1PC no longer applies). Then the
+  /// timestamp is pushed above the group's reads in the timestamp cache
+  /// and above the closed timestamp. Counts each write at the leaseholder.
+  StatusOr<Timestamp> WriteTimestampLocked(RangeState* range, Latch* latch,
+                                           const BatchRequest& req,
+                                           const Writes& writes, bool one_pc);
+  /// Writes the group at `ts` as one storage WriteBatch and one replication
+  /// round (under a "replication" span of the request's trace): intents of
+  /// `intent_txn`, or committed versions when it is 0.
+  Status ApplyWritesLocked(RangeState* range, const BatchRequest& req,
+                           const Writes& writes, TxnId intent_txn, Timestamp ts);
   /// One-phase commit: the batch carries the txn's entire buffered write
   /// set; commits at a single timestamp with committed versions written
   /// directly (no intents, no separate record round). NotSupported when the
   /// writes span ranges (the client falls back to the general path).
   StatusOr<BatchResponse> ExecuteOnePhaseLocked(const BatchRequest& req);
-  /// Parallel-commit status recovery: a pusher found `id` in STAGING. If
-  /// every declared in-flight write holds an intent at or below staged_ts
-  /// the txn is implicitly committed and is finalized here; if a write is
-  /// missing and the record expired, the txn is aborted (each missing key
-  /// poisoned in the tscache under the latch that found it missing, so a
-  /// late write cannot satisfy the stale staging); otherwise the pusher
-  /// backs off (WriteIntentError). `coordinator_abandoned` skips the
-  /// liveness backoff: the coordinator itself gave up on the commit
-  /// (equivalent to an expired record), so a missing write aborts
-  /// immediately. Must be called with no range latch held: it latches the
-  /// range of each key it checks.
-  StatusOr<PushResult> RecoverStagedTxnLocked(TxnId id,
-                                              bool coordinator_abandoned = false);
-  /// Replicates a storage batch to the range's replicas through the
-  /// transport (quorum of acks required), under a "replication" span of
-  /// the request's trace. Attributes payload bytes to the request's tenant
-  /// on each node that applies.
-  Status ReplicateLocked(RangeState* range, const storage::WriteBatch& batch,
-                         const BatchRequest& req);
-  /// The general replication path: appends `rec` to the range log and
-  /// delivers it per the transport's link decisions. The leaseholder
-  /// applies first (a local failure rejects the round with nothing
-  /// logged); remotes that the round does not reach, or whose engines
-  /// fail, are demoted to needs-catch-up instead of failing the batch —
-  /// as long as an ack quorum holds. `require_quorum=false` (intent
-  /// resolutions) logs and applies best-effort like the pre-epoch
-  /// behaviour. `batch` optionally carries the already-parsed WriteBatch
-  /// for kBatch records so the hot path skips re-decoding rec.payload.
-  Status ReplicateRecordLocked(RangeState* range, LogRecord rec,
-                               const storage::WriteBatch* batch,
-                               bool require_quorum);
-  /// Applies one log record to one node's engine `copies` times
-  /// (duplicates model the network; every record kind is idempotent).
-  /// `charge_tenant` is false on catch-up replay: a replayed record may
-  /// already have been applied (delivered but unacked), and its bytes were
-  /// attributed at original delivery.
-  Status ApplyRecordLocked(KVNode* node, const LogRecord& rec,
-                           const storage::WriteBatch* batch, uint32_t copies,
-                           bool charge_tenant = true);
-  /// Brings one replica's applied position up to min(limit, committed) by
-  /// in-order replay, or by snapshot transfer when the log has been
-  /// truncated past its position.
-  Status CatchUpReplicaLocked(RangeState* range, NodeId node, uint64_t limit);
-  /// Snapshot transfer: clears the target's engine keyspan for the range
-  /// and copies it from a fully-applied replica.
-  Status SnapshotReplicaLocked(RangeState* range, NodeId to);
-  /// Drops fully-applied log prefixes (bounded retention while lagging).
-  void TruncateLogLocked(RangeState* range);
-  /// Whether the node's liveness record is unexpired and fresh at `now`.
-  bool LivenessValidLocked(NodeId id, Nanos now) const;
-  /// True while the leaseholder's lease is valid: liveness enforcement off,
-  /// or epoch matches and the holder's liveness has not expired.
-  bool LeaseValidLocked(const RangeState& range) const;
-  /// Whether `node` holds every committed record of `range`, replaying (or
-  /// snapshotting) the gap first. Lease and snapshot-source candidates
-  /// must pass: a behind replica serving reads would un-linearize acked
-  /// writes.
-  bool CatchUpCandidateLocked(RangeState* range, NodeId node);
-  /// Hands the lease to `node` under its current liveness epoch.
-  void TransferLeaseLocked(RangeState* range, NodeId node);
-  /// LeaseValidLocked as a Status (LeaseEpochMismatch + counter on reject).
-  Status CheckLeaseLocked(const RangeState& range);
-  /// Moves an invalid/orphaned lease to a caught-up replica whose liveness
-  /// is valid (catching it up first if needed).
-  void MaybeReassignLeaseLocked(RangeState* range);
-  bool NodeUpLocked(NodeId id) const {
-    return nodes_[id]->live() && nodes_[id]->engine() != nullptr;
-  }
   /// Handles a foreign intent encountered by a read/write. Pushes the owner
   /// and resolves the intent if the push succeeds. Returns OK if the caller
   /// should retry its operation, WriteIntentError if it must back off.
@@ -479,83 +372,41 @@ class KVCluster {
   Status HandleConflictLocked(RangeState* range, Latch* latch, Slice key,
                               const IntentMeta& intent, const BatchRequest& req,
                               bool for_write);
-  /// Clears foreign intents off a write group's keys. A resolution may
-  /// release `latch`, and another txn may meanwhile lay an intent on a key
-  /// already checked, so every resolution restarts from the first key. With
-  /// `one_pc`, the txn's own intent means 1PC no longer applies.
-  Status ResolveWriteConflictsLocked(RangeState* range, Latch* latch,
-                                     storage::Engine* engine, const BatchRequest& req,
-                                     const std::vector<const RequestUnion*>& writes,
-                                     bool one_pc);
-  Status AddRangeLocked(RangeDescriptor desc);
-  Status SplitRangeLocked(Slice split_key,
-                          SplitReason reason = SplitReason::kManual);
+  /// Resolves txn `id`'s intents on `keys` through each range's log (best
+  /// effort: no quorum needed).
+  Status ResolveIntentsLocked(TxnId id, const std::vector<std::string>& keys,
+                              bool commit, Timestamp ts);
+
+  // --- Topology (range_directory.cc, liveness.cc) -------------------------
   Status MoveReplicaLocked(RangeId range_id, NodeId from, NodeId to);
   Status StartReplicaMoveLocked(RangeId range_id, NodeId from, NodeId to);
   StatusOr<bool> StepReplicaMoveLocked(RangeId range_id, size_t max_bytes);
   Status FinishReplicaMoveLocked(RangeId range_id);
   Status AbortReplicaMoveLocked(RangeId range_id);
-  /// Resolves an addressed batch (req.range_id != 0) against the directory:
-  /// the range must still exist and contain `key`, else RangeKeyMismatch
-  /// (the client invalidates its cache entry and retries).
-  StatusOr<RangeState*> ResolveRangeLocked(const BatchRequest& req, Slice key);
   /// Fuses `right` into `left` (spans must be adjacent, tenants equal,
   /// replica sets identical and fully caught up on both logs).
-  Status MergeRangesLocked(RangeState* left, RangeState* right,
-                           obs::Counter* reason_counter);
-  /// Merge eligibility under the cooldown policy (MaybeMergeRanges).
-  bool CanMergeLocked(const RangeState& left, const RangeState& right,
-                      Nanos now) const;
-  storage::Engine* LeaseholderEngineLocked(const RangeState& range);
+  Status MergeRangesLocked(RangeState* left, RangeState* right, bool cooldown);
 
   KVClusterOptions options_;
   Clock* clock_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
+  obs::ObsContext obs_;  // resolved context handed to nodes/engines
   HybridLogicalClock hlc_;
   TxnRegistry txn_registry_;
   std::unique_ptr<TimestampOracle> oracle_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ObsContext obs_;  // resolved context handed to nodes/engines
-  std::vector<std::unique_ptr<KVNode>> nodes_;
+  NodeList nodes_;
 
-  mutable std::shared_mutex dir_mu_;  // the range directory; see class comment
-  std::map<RangeId, std::unique_ptr<RangeState>> ranges_;
-  std::map<std::string, RangeId> by_start_;  // start_key -> range
-  RangeId next_range_id_ = 1;
+  mutable std::shared_mutex dir_mu_;  // lock order: kv/range_directory.h
+  RangeDirectory directory_;
+  Liveness liveness_;
+  Replication replication_;
+  TxnRecovery recovery_;
   BatchInterceptor interceptor_;
   ScanFragmentHook fragment_hook_;
 
-  /// Per-node liveness record driven by TickHeartbeats. The epoch bumps
-  /// once per expiry; leases remember the epoch they were granted under.
-  struct NodeLiveness {
-    uint64_t epoch = 1;
-    Nanos last_heartbeat = 0;
-    bool expired = false;  ///< epoch already bumped for the current expiry
-  };
-  std::vector<NodeLiveness> liveness_;
-  bool liveness_enabled_ = false;
-  PassthroughTransport passthrough_;
-  ReplicaTransport* transport_ = nullptr;  // resolved in the constructor
-
-  obs::Counter* lease_moves_c_ = nullptr;
   obs::Counter* replica_moves_c_ = nullptr;
-  /// Split/merge counters, labeled by trigger; incremented only after the
-  /// directory mutation committed (aborted splits/merges are never counted).
-  obs::Counter* splits_manual_c_ = nullptr;
-  obs::Counter* splits_size_c_ = nullptr;
-  obs::Counter* splits_load_c_ = nullptr;
-  obs::Counter* merges_manual_c_ = nullptr;
-  obs::Counter* merges_cooldown_c_ = nullptr;
-  obs::Counter* range_mismatch_c_ = nullptr;
   obs::Counter* intent_conflicts_c_ = nullptr;
-  obs::Counter* replica_catchups_replay_c_ = nullptr;
-  obs::Counter* replica_catchups_snapshot_c_ = nullptr;
-  obs::Counter* replica_demotions_c_ = nullptr;
-  obs::Counter* catchup_records_c_ = nullptr;
-  obs::Counter* lease_epoch_mismatch_c_ = nullptr;
-  obs::Counter* epoch_bumps_c_ = nullptr;
-  obs::Counter* heartbeat_failures_c_ = nullptr;
-  obs::HistogramMetric* replication_delay_h_ = nullptr;
   TxnMetricSet txn_metrics_;
   // Declared last: unregisters (and stops touching cluster state) before
   // any other member is destroyed.

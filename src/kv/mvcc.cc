@@ -116,6 +116,12 @@ std::string EncodeIntentKey(Slice user_key) {
   return out;
 }
 
+std::pair<std::string, std::string> EngineSpan(Slice start, Slice end) {
+  std::string engine_end;
+  if (!end.empty()) OrderedPutString(&engine_end, end);
+  return {EncodeIntentKey(start), std::move(engine_end)};
+}
+
 std::string EncodeMvccPrefix(Slice user_key) {
   std::string out;
   OrderedPutString(&out, user_key);
@@ -229,6 +235,17 @@ Status ReadKeyVersions(storage::Iterator* it, Slice escaped, Timestamp read_ts,
   return Status::OK();
 }
 
+// Reads the intent slot of `user_key` into *out, whose value *raw backs;
+// false when the key has no intent.
+StatusOr<bool> GetIntent(storage::Engine* engine, Slice user_key, std::string* raw,
+                         IntentValue* out) {
+  Status s = engine->Get(EncodeIntentKey(user_key), raw);
+  if (s.IsNotFound()) return false;
+  VELOCE_RETURN_IF_ERROR(s);
+  if (!DecodeIntentValue(Slice(*raw), out)) return Status::Corruption("bad intent value");
+  return true;
+}
+
 // Moves the iterator off logical key `escaped`: a few Next() calls, then one
 // seek past the rest of its history. Stops at a malformed key so the caller
 // reports it.
@@ -268,11 +285,10 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
                                   Slice end_key, Timestamp ts, uint64_t limit,
                                   TxnId own_txn) {
   MvccScanResult result;
-  std::string upper;
-  if (!end_key.empty()) OrderedPutString(&upper, end_key);
   // The bound also ends the scan at end_key: the encoding preserves order
   // and a key's slots all extend its escaped bytes.
-  auto it = engine->NewBoundedIterator(EncodeIntentKey(start_key), upper);
+  const auto [lower, upper] = EngineSpan(start_key, end_key);
+  auto it = engine->NewBoundedIterator(lower, upper);
   std::string escaped;  // the current key's; the iterator's key() moves on
   KeyReadResult kr;
   it->SeekToFirst();
@@ -306,31 +322,21 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
 StatusOr<std::optional<IntentMeta>> MvccGetIntent(storage::Engine* engine,
                                                   Slice user_key) {
   std::string raw;
-  Status s = engine->Get(EncodeIntentKey(user_key), &raw);
-  if (s.IsNotFound()) return std::optional<IntentMeta>();
-  VELOCE_RETURN_IF_ERROR(s);
   IntentValue intent;
-  if (!DecodeIntentValue(Slice(raw), &intent)) {
-    return Status::Corruption("bad intent value");
-  }
+  VELOCE_ASSIGN_OR_RETURN(bool found, GetIntent(engine, user_key, &raw, &intent));
+  if (!found) return std::optional<IntentMeta>();
   return std::optional<IntentMeta>(IntentMeta{intent.txn_id, intent.ts});
 }
 
 Status MvccResolveIntent(storage::Engine* engine, Slice user_key, TxnId txn_id,
                          bool commit, Timestamp commit_ts) {
-  const std::string intent_key = EncodeIntentKey(user_key);
   std::string raw;
-  Status s = engine->Get(intent_key, &raw);
-  if (s.IsNotFound()) return Status::OK();  // already resolved
-  VELOCE_RETURN_IF_ERROR(s);
   IntentValue intent;
-  if (!DecodeIntentValue(Slice(raw), &intent)) {
-    return Status::Corruption("bad intent value");
-  }
-  if (intent.txn_id != txn_id) return Status::OK();  // not ours
+  VELOCE_ASSIGN_OR_RETURN(bool found, GetIntent(engine, user_key, &raw, &intent));
+  if (!found || intent.txn_id != txn_id) return Status::OK();  // resolved, or not ours
 
   storage::WriteBatch batch;
-  batch.Delete(intent_key);
+  batch.Delete(EncodeIntentKey(user_key));
   if (commit) {
     if (intent.tombstone) {
       MvccPutTombstone(&batch, user_key, commit_ts);
@@ -343,29 +349,22 @@ Status MvccResolveIntent(storage::Engine* engine, Slice user_key, TxnId txn_id,
 
 Status MvccUpdateIntentTimestamp(storage::Engine* engine, Slice user_key,
                                  TxnId txn_id, Timestamp new_ts) {
-  const std::string intent_key = EncodeIntentKey(user_key);
   std::string raw;
-  Status s = engine->Get(intent_key, &raw);
-  if (s.IsNotFound()) return Status::OK();
-  VELOCE_RETURN_IF_ERROR(s);
   IntentValue intent;
-  if (!DecodeIntentValue(Slice(raw), &intent)) {
-    return Status::Corruption("bad intent value");
-  }
-  if (intent.txn_id != txn_id || intent.ts >= new_ts) return Status::OK();
-  return engine->Put(intent_key, EncodeIntentValue(txn_id, new_ts,
-                                                   intent.tombstone, intent.value));
+  VELOCE_ASSIGN_OR_RETURN(bool found, GetIntent(engine, user_key, &raw, &intent));
+  if (!found || intent.txn_id != txn_id || intent.ts >= new_ts) return Status::OK();
+  return engine->Put(EncodeIntentKey(user_key),
+                     EncodeIntentValue(txn_id, new_ts, intent.tombstone, intent.value));
 }
 
 StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
                                     Slice end, Timestamp after, Timestamp upto,
                                     TxnId own_txn) {
-  std::string end_bound;
-  if (!end.empty()) OrderedPutString(&end_bound, end);
+  const auto [lower, upper] = EngineSpan(start, end);
   // A single-key span [k, k\0) probes blooms for k, as MvccGet does.
   const std::string prefix =
       IsPointSpan(start, end) ? EncodeMvccPrefix(start) : std::string();
-  auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound, prefix);
+  auto it = engine->NewBoundedIterator(lower, upper, prefix);
   for (it->SeekToFirst(); it->Valid();) {
     MvccKeyParts k;
     if (!SplitMvccKey(it->key(), &k)) return Status::Corruption("bad MVCC key");
@@ -391,9 +390,8 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
 
 StatusOr<uint64_t> MvccGarbageCollect(storage::Engine* engine, Slice start,
                                       Slice end, Timestamp threshold) {
-  std::string end_bound;
-  if (!end.empty()) OrderedPutString(&end_bound, end);
-  auto it = engine->NewBoundedIterator(EncodeIntentKey(start), end_bound);
+  const auto [lower, upper] = EngineSpan(start, end);
+  auto it = engine->NewBoundedIterator(lower, upper);
 
   storage::WriteBatch batch;
   uint64_t removed = 0;

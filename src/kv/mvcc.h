@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -76,6 +77,9 @@ struct MvccScanResult {
 std::string EncodeMvccKey(Slice user_key, Timestamp ts);
 /// Encodes the intent slot for a user key (sorts before all versions).
 std::string EncodeIntentKey(Slice user_key);
+/// Engine-key bounds [intent slot of start, encoded end) of the user-key
+/// span [start, end) ("" end = +infinity): every slot of every key in it.
+std::pair<std::string, std::string> EngineSpan(Slice start, Slice end);
 /// Encodes just the escaped user key — the shared prefix of the intent slot
 /// and every version. This is the unit bloom filters are built over: one
 /// probe answers "does this table hold any slot of this logical key?".

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "kv/batch.h"
 #include "kv/range.h"
@@ -60,6 +61,9 @@ class KVNode {
   /// leases (Fig 12). The experiment harness toggles this.
   bool live() const { return live_.load(std::memory_order_acquire); }
   void SetLive(bool live) { live_.store(live, std::memory_order_release); }
+  /// Live and holding an engine: a node whose crash-restart failed has
+  /// none, and can neither serve nor accept replicated writes.
+  bool up() const { return live() && engine_ != nullptr; }
 
   /// Batch accounting, invoked by the cluster's data path.
   void RecordBatch(bool read_only) {
@@ -109,6 +113,8 @@ class KVNode {
   obs::Counter* write_bytes_c_ = nullptr;
   mutable NodeBatchStats stats_snapshot_;
 };
+
+using NodeList = std::vector<std::unique_ptr<KVNode>>;
 
 }  // namespace veloce::kv
 

@@ -8,9 +8,7 @@ void TimestampCache::RecordRead(Slice key, Timestamp ts, TxnId txn) {
   if (it == points_.end()) {
     if (points_.size() >= kMaxPoints) {
       // Fold everything into the (owner-less) low-water mark and start over.
-      for (const auto& [k, read] : points_) {
-        if (low_water_ < read.ts) low_water_ = read.ts;
-      }
+      for (const auto& [k, read] : points_) low_water_ = std::max(low_water_, read.ts);
       points_.clear();
       if (ts <= low_water_) return;
     }
@@ -28,9 +26,7 @@ void TimestampCache::RecordReadSpan(Slice start, Slice end, Timestamp ts,
                                     TxnId txn) {
   if (ts <= low_water_) return;
   if (spans_.size() >= kMaxSpans) {
-    for (const auto& span : spans_) {
-      if (low_water_ < span.ts) low_water_ = span.ts;
-    }
+    for (const auto& span : spans_) low_water_ = std::max(low_water_, span.ts);
     spans_.clear();
     if (ts <= low_water_) return;
   }

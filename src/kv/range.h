@@ -170,17 +170,21 @@ struct LogRecord {
     kBatch = 0,           ///< serialized storage::WriteBatch (payload)
     kResolveIntent = 1,   ///< MvccResolveIntent(key, txn_id, commit, ts)
     kUpdateIntentTs = 2,  ///< MvccUpdateIntentTimestamp(key, txn_id, ts)
+    kClearSpan = 3,       ///< deletes every engine key of [key, end_key)
   };
   Kind kind = Kind::kBatch;
   uint64_t index = 0;
   std::string payload;  ///< kBatch: WriteBatch::rep()
-  std::string key;      ///< resolve/update target
+  std::string key;      ///< resolve/update target; kClearSpan: span start
+  std::string end_key;  ///< kClearSpan: exclusive span end
   uint64_t txn_id = 0;
   bool commit = false;
   Timestamp ts;
   TenantId tenant = 0;  ///< kBatch: tenant charged for write bytes (0 = none)
 
-  size_t ApproxBytes() const { return payload.size() + key.size() + 64; }
+  size_t ApproxBytes() const {
+    return payload.size() + key.size() + end_key.size() + 64;
+  }
 };
 
 /// The replication log of one range — a deliberately compact Raft: a single
@@ -233,12 +237,9 @@ class ReplicationLog {
   /// across the replica set), then enforces the retention caps; replicas
   /// whose position falls before first_index() must snapshot.
   void TruncateTo(uint64_t floor) {
-    while (!records_.empty() && records_.front().index <= floor) {
-      retained_bytes_ -= records_.front().ApproxBytes();
-      records_.pop_front();
-    }
-    while (records_.size() > kMaxRetainedRecords ||
-           (retained_bytes_ > kMaxRetainedBytes && !records_.empty())) {
+    while (!records_.empty() &&
+           (records_.front().index <= floor || records_.size() > kMaxRetainedRecords ||
+            retained_bytes_ > kMaxRetainedBytes)) {
       retained_bytes_ -= records_.front().ApproxBytes();
       records_.pop_front();
     }

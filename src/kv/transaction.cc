@@ -121,43 +121,17 @@ Status Transaction::Get(Slice key, std::optional<std::string>* value) {
   return Status::OK();
 }
 
-Status Transaction::Put(Slice key, Slice value) {
-  if (finalized_) return Status::Internal("txn already finalized");
-  if (options_.buffer_writes) {
-    buffer_[key.ToString()] = {value.ToString(), false};
-    if (buffer_.size() >= options_.max_buffered_writes) return Flush();
-    return Status::OK();
-  }
-  BatchRequest req = MakeRequest();
-  req.AddPut(key, value);
-  intent_keys_.insert(key.ToString());
-  if (options_.pipeline_writes && executor_ != nullptr) {
-    req.trace = nullptr;  // pipelined batches run on executor threads
-    EnqueuePipelined(std::move(req));
-    return Status::OK();
-  }
-  VELOCE_ASSIGN_OR_RETURN(BatchResponse resp, SendTracked(req));
-  (void)resp;
-  return Status::OK();
-}
+Status Transaction::Put(Slice key, Slice value) { return Write(key, value, false); }
 
-Status Transaction::Delete(Slice key) {
+Status Transaction::Delete(Slice key) { return Write(key, Slice(), true); }
+
+Status Transaction::Write(Slice key, Slice value, bool tombstone) {
   if (finalized_) return Status::Internal("txn already finalized");
-  if (options_.buffer_writes) {
-    buffer_[key.ToString()] = {std::string(), true};
-    if (buffer_.size() >= options_.max_buffered_writes) return Flush();
-    return Status::OK();
+  buffer_[key.ToString()] = {value.ToString(), tombstone};
+  // Unbuffered writes flush at once, as a batch of one.
+  if (!options_.buffer_writes || buffer_.size() >= options_.max_buffered_writes) {
+    return Flush();
   }
-  BatchRequest req = MakeRequest();
-  req.AddDelete(key);
-  intent_keys_.insert(key.ToString());
-  if (options_.pipeline_writes && executor_ != nullptr) {
-    req.trace = nullptr;
-    EnqueuePipelined(std::move(req));
-    return Status::OK();
-  }
-  VELOCE_ASSIGN_OR_RETURN(BatchResponse resp, SendTracked(req));
-  (void)resp;
   return Status::OK();
 }
 
@@ -186,16 +160,12 @@ Status Transaction::Flush() {
   if (buffer_.empty()) return Status::OK();
   BatchRequest req = MakeRequest();
   for (auto& [key, w] : buffer_) {
-    if (w.tombstone) {
-      req.AddDelete(key);
-    } else {
-      req.AddPut(key, w.value);
-    }
+    req.AddWrite(key, w.value, w.tombstone);
     intent_keys_.insert(key);
   }
   buffer_.clear();
   if (options_.pipeline_writes && executor_ != nullptr) {
-    req.trace = nullptr;
+    req.trace = nullptr;  // pipelined batches run on executor threads
     EnqueuePipelined(std::move(req));
     return Status::OK();
   }
@@ -293,13 +263,7 @@ Status Transaction::TryOnePhaseCommit(Nanos start_ns) {
     BatchRequest req = MakeRequest();
     req.commit_txn = true;
     req.can_forward_ts = read_spans_.empty();
-    for (const auto& [key, w] : buffer_) {
-      if (w.tombstone) {
-        req.AddDelete(key);
-      } else {
-        req.AddPut(key, w.value);
-      }
-    }
+    for (const auto& [key, w] : buffer_) req.AddWrite(key, w.value, w.tombstone);
     VELOCE_ASSIGN_OR_RETURN(BatchResponse resp, SendTracked(req));
     if (!resp.one_pc_rejected_ts.IsEmpty()) {
       // The commit timestamp must move and we performed reads: refresh up
@@ -326,21 +290,12 @@ Status Transaction::Commit() {
   // so the whole write set can commit server-side in one batch.
   if (options_.one_phase_commit && intent_keys_.empty() && !buffer_.empty()) {
     Status s = TryOnePhaseCommit(start_ns);
-    if (s.ok()) return s;
-    if (s.code() == Code::kTransactionAborted || s.IsTransactionRetry()) {
-      (void)Rollback();
-      return s;
-    }
-    if (s.code() != Code::kNotSupported) return s;
+    if (s.code() != Code::kNotSupported) return RollbackIfFailed(s, false);
     // NotSupported: multi-range write set, or 1PC raced out. Fall through
     // to the general path.
   }
 
-  Status fs = Flush();
-  if (!fs.ok()) {
-    (void)Rollback();
-    return fs;
-  }
+  VELOCE_RETURN_IF_ERROR(RollbackIfFailed(Flush()));
   std::vector<std::string> keys(intent_keys_.begin(), intent_keys_.end());
 
   if (options_.parallel_commit && !keys.empty()) {
@@ -357,13 +312,9 @@ Status Transaction::Commit() {
       const Timestamp intended =
           record_.read_ts < max_write_ts_ ? max_write_ts_ : record_.read_ts;
       if (record_.read_ts < intended) {
-        Status rs = RefreshReads(intended);
-        if (!rs.ok()) {
-          // Never staged: the record is still pending, so aborting cannot
-          // contradict a recovery.
-          (void)Rollback();
-          return rs;
-        }
+        // Never staged: the record is still pending, so aborting cannot
+        // contradict a recovery.
+        VELOCE_RETURN_IF_ERROR(RollbackIfFailed(RefreshReads(intended)));
       }
       ss = cluster_->StageTxn(record_.id, keys, &staged, record_.read_ts);
       if (ss.IsTransactionRetry() && attempt < 3) {
@@ -376,14 +327,9 @@ Status Transaction::Commit() {
       }
       break;
     }
-    if (!ss.ok()) {
-      // Nothing was staged; the txn is pending (or already aborted by a
-      // pusher), so rolling back is safe.
-      if (ss.code() == Code::kTransactionAborted || ss.IsTransactionRetry()) {
-        (void)Rollback();
-      }
-      return ss;
-    }
+    // On failure nothing was staged; the txn is pending (or already aborted
+    // by a pusher), so rolling back is safe.
+    VELOCE_RETURN_IF_ERROR(RollbackIfFailed(ss, false));
     Status ps = WaitPipeline();
     if (!ps.ok()) {
       // A batch failed after the txn was staged; its writes may still have
@@ -398,18 +344,9 @@ Status Transaction::Commit() {
       // fails and no recovery can have committed the record; refreshing
       // and re-staging (or aborting) is still safe.
       m.retries->Inc();
-      Status rs = RefreshReads(max_write_ts_);
-      if (!rs.ok()) {
-        (void)Rollback();
-        return rs;
-      }
-      ss = cluster_->StageTxn(record_.id, keys, &staged, record_.read_ts);
-      if (!ss.ok()) {
-        if (ss.code() == Code::kTransactionAborted || ss.IsTransactionRetry()) {
-          (void)Rollback();
-        }
-        return ss;
-      }
+      VELOCE_RETURN_IF_ERROR(RollbackIfFailed(RefreshReads(max_write_ts_)));
+      VELOCE_RETURN_IF_ERROR(RollbackIfFailed(
+          cluster_->StageTxn(record_.id, keys, &staged, record_.read_ts), false));
     }
     // Implicitly committed, with reads validated at the staged timestamp:
     // ack the client now; resolution follows.
@@ -435,19 +372,11 @@ Status Transaction::Commit() {
   // resolve before acking. CommitTxn re-checks that nothing pushed the
   // write timestamp past what was validated (a reader's push can race the
   // refresh) and sends us around the loop again when it did.
-  Status ps = WaitPipeline();
-  if (!ps.ok()) {
-    (void)Rollback();
-    return ps;
-  }
+  VELOCE_RETURN_IF_ERROR(RollbackIfFailed(WaitPipeline()));
   Status s;
   for (int attempt = 0; attempt < 4; ++attempt) {
     if (max_write_ts_ > record_.read_ts && !read_spans_.empty()) {
-      Status rs = RefreshReads(max_write_ts_);
-      if (!rs.ok()) {
-        (void)Rollback();
-        return rs;
-      }
+      VELOCE_RETURN_IF_ERROR(RollbackIfFailed(RefreshReads(max_write_ts_)));
     }
     Timestamp committed;
     s = cluster_->CommitTxn(record_.id, keys, &committed,
@@ -463,12 +392,7 @@ Status Transaction::Commit() {
     if (s.ok()) commit_ts_ = committed;
     break;
   }
-  if (!s.ok()) {
-    if (s.code() == Code::kTransactionAborted || s.IsTransactionRetry()) {
-      (void)Rollback();
-    }
-    return s;
-  }
+  VELOCE_RETURN_IF_ERROR(RollbackIfFailed(s, false));
   finalized_ = true;
   RecordCommit(m.commits_classic, start_ns);
   return Status::OK();
@@ -515,6 +439,14 @@ Status Transaction::Rollback() {
   buffer_.clear();
   std::vector<std::string> keys(intent_keys_.begin(), intent_keys_.end());
   return cluster_->AbortTxn(record_.id, keys);
+}
+
+Status Transaction::RollbackIfFailed(Status s, bool any_error) {
+  if (!s.ok() && (any_error || s.code() == Code::kTransactionAborted ||
+                  s.IsTransactionRetry())) {
+    (void)Rollback();
+  }
+  return s;
 }
 
 void Transaction::RecordCommit(obs::Counter* path_counter, Nanos start_ns) {

@@ -162,6 +162,8 @@ class Transaction {
   /// True if any tracked key in `keys` intersects [start, end).
   static bool AnyKeyInSpan(const std::set<std::string>& keys, Slice start,
                            Slice end);
+  /// Put and Delete: buffered until Flush (at once when unbuffered).
+  Status Write(Slice key, Slice value, bool tombstone);
   /// Enqueues a flushed batch on the pipeline (schedules a drainer if none
   /// is running).
   void EnqueuePipelined(BatchRequest req);
@@ -188,6 +190,9 @@ class Transaction {
   Status ResolveIndeterminateCommit(const Status& pipeline_error,
                                     const std::vector<std::string>& keys,
                                     Nanos start_ns);
+  /// Rolls back when `s` failed before anything could commit: on any error,
+  /// or with `any_error` false only on an abort or a retry. Returns `s`.
+  Status RollbackIfFailed(Status s, bool any_error = true);
   void RecordCommit(obs::Counter* path_counter, Nanos start_ns);
 
   KVCluster* cluster_;

@@ -360,6 +360,85 @@ TEST(CatchUpTest, MinorityEngineFailureDemotesNotFails) {
   EXPECT_GT(cluster->metrics()->Sum("veloce_kv_replica_catchups_total"), 0.0);
 }
 
+/// Engine keys (versions and intent slots) a node holds in `tenant`'s span.
+size_t TenantEngineKeys(KVCluster* cluster, NodeId node, TenantId tenant) {
+  RangeDescriptor span;
+  span.start_key = TenantPrefix(tenant);
+  span.end_key = TenantPrefixEnd(tenant);
+  return RangeSpan(cluster->node(node)->engine(), span).size();
+}
+
+/// Destroying a tenant clears its span through the range log: a replica
+/// partitioned away during the destroy replays the clear after the writes
+/// it missed, so catch-up cannot bring the destroyed tenant's keys back.
+TEST(CatchUpTest, DestroyedTenantStaysClearedOnHealedReplica) {
+  ManualClock clock(100 * kSecond);
+  sim::FaultyMesh mesh(0xDE57);
+  auto cluster = MakeCluster(&clock, &mesh);
+  ASSERT_TRUE(PutKV(cluster.get(), "k", "before").ok());
+  const RangeDescriptor desc = TenantRange(cluster.get(), "k");
+  NodeId victim = 0;
+  for (NodeId r : desc.replicas) {
+    if (r != desc.leaseholder) victim = r;
+  }
+
+  mesh.Isolate(victim, 3);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(PutKV(cluster.get(), "k" + std::to_string(i), "during").ok());
+  }
+  ASSERT_TRUE(cluster->DestroyTenantKeyspace(kTenant).ok());
+  mesh.HealAll();
+  cluster->TickHeartbeats();
+
+  EXPECT_EQ(cluster->RangeReplicaApplied(desc.range_id, victim),
+            cluster->RangeLogCommittedIndex(desc.range_id));
+  for (NodeId n = 0; n < cluster->num_nodes(); ++n) {
+    EXPECT_EQ(TenantEngineKeys(cluster.get(), n, kTenant), 0u) << "node " << n;
+  }
+}
+
+/// A node whose crash-restart failed has no engine but may still be marked
+/// live. Destroying a tenant, GC of a tenant, reads and read refreshes skip
+/// it instead of dereferencing the missing engine.
+TEST(CatchUpTest, DestroyTenantSkipsNodeWithFailedRestart) {
+  auto base = storage::NewMemEnv();
+  storage::FaultInjectionEnv fault(base.get(), 0xDE5);
+  KVClusterOptions opts;
+  opts.num_nodes = 3;
+  opts.replication_factor = 3;
+  opts.engine_options.env = &fault;
+  auto cluster = std::make_unique<KVCluster>(opts);
+  VELOCE_CHECK_OK(cluster->CreateTenantKeyspace(kTenant));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(PutKV(cluster.get(), "k" + std::to_string(i), "v").ok());
+  }
+  const NodeId victim = TenantRange(cluster.get(), "k0").leaseholder;
+
+  // Every read of the victim's files fails, so reopening its engine does.
+  storage::FaultRule rule;
+  rule.op = storage::FaultOp::kRead;
+  rule.path_substr = "kvnode-" + std::to_string(victim) + "/";
+  rule.count = -1;
+  fault.AddRule(rule);
+  ASSERT_FALSE(cluster->RestartNode(victim).ok());
+  ASSERT_EQ(cluster->node(victim)->engine(), nullptr);
+  EXPECT_EQ(GetKV(cluster.get(), "k0").status().code(), Code::kUnavailable);
+  const std::string k0 = K("k0");
+  EXPECT_EQ(cluster->AnyNewerVersions(kTenant, k0, k0 + '\0', cluster->Now(),
+                                      cluster->Now(), 0)
+                .status()
+                .code(),
+            Code::kUnavailable);
+
+  const Status destroyed = cluster->DestroyTenantKeyspace(kTenant);
+  EXPECT_TRUE(destroyed.ok()) << destroyed.ToString();
+  EXPECT_TRUE(cluster->GarbageCollectTenant(kTenant, cluster->Now()).ok());
+  for (NodeId n = 0; n < cluster->num_nodes(); ++n) {
+    if (n == victim) continue;
+    EXPECT_EQ(TenantEngineKeys(cluster.get(), n, kTenant), 0u) << "node " << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lease/replica handoff safety: only caught-up replicas take over
 // ---------------------------------------------------------------------------

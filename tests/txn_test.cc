@@ -786,6 +786,30 @@ TEST_F(TxnPathTest, RefreshedReadFencesLaterWritesBelowIt) {
   EXPECT_GT(v.commit_ts(), t.commit_ts());
 }
 
+TEST_F(TxnPathTest, RefreshOutsideItsTenantIsUnauthorized) {
+  // A refresh is checked against the txn's tenant like any request: one
+  // over another tenant's span fails and records nothing in that range's
+  // timestamp cache, so the other tenant's writes are not pushed by it.
+  VELOCE_CHECK_OK(cluster_->CreateTenantKeyspace(11));
+  const std::string other = AddTenantPrefix(11, "victim");
+  const Timestamp after = cluster_->Now();
+  const Timestamp mid = cluster_->Now();
+  const Timestamp upto = cluster_->Now();
+  const TxnRecord txn = cluster_->BeginTxn();
+  auto refresh = cluster_->AnyNewerVersions(10, other, other + '\0', after, upto,
+                                            txn.id);
+  EXPECT_TRUE(refresh.status().IsUnauthorized()) << refresh.status().ToString();
+
+  BatchRequest put;
+  put.tenant_id = 11;
+  put.ts = mid;
+  put.AddPut(other, "v");
+  auto resp = cluster_->Send(put);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->bumped_write_ts.IsEmpty())
+      << "write pushed to " << resp->bumped_write_ts.ToString();
+}
+
 TEST_F(TxnPathTest, RefreshFailsOnForeignIntentBelowItsTarget) {
   // T reads j; U (begun later, classic: its intent is laid at once) writes
   // j above T's read. A non-txn read of k pushes T's write of k, so T must
