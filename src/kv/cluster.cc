@@ -344,9 +344,7 @@ Status KVCluster::ExecuteReadLocked(RangeState* range, Latch* latch,
               return MvccScan(cur_engine, cursor, scan_end, read_ts, remaining,
                               req.txn_id);
             },
-            [&](const MvccScanResult& got) {
-              return Slice(got.entries.empty() ? cursor : got.entries.back().key);
-            }));
+            [&](const MvccScanResult& got) { return Slice(got.conflict_key); }));
     if (!cur_follower) {
       cur_range->tscache.RecordReadSpan(cursor, scan_end, read_ts, req.txn_id);
     }

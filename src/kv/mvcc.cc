@@ -305,6 +305,8 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
     VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), escaped, ts, own_txn, &kr));
     if (kr.conflict.has_value()) {
       result.conflict = kr.conflict;
+      Slice in(escaped);
+      OrderedGetString(&in, &result.conflict_key);
       return result;
     }
     if (kr.has_value) {

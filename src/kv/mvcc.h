@@ -69,6 +69,8 @@ struct MvccScanEntry {
 struct MvccScanResult {
   std::vector<MvccScanEntry> entries;
   std::optional<IntentMeta> conflict;
+  /// User key of the intent in `conflict`: where to resolve it.
+  std::string conflict_key;
   /// Key to resume from if `limit` was hit (empty when exhausted).
   std::string resume_key;
 };

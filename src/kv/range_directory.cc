@@ -540,6 +540,13 @@ Status KVCluster::FinishReplicaMoveLocked(RangeId range_id) {
   if (range->desc.leaseholder == move.from) liveness_.TransferLease(range, move.to);
   range->pending_move.reset();
   replication_.Truncate(range);  // unpin
+  // Nothing reads or catches up the outgoing replica's copy any more: clear
+  // it. A down node (its engine may be gone) keeps its copy, as does one
+  // whose clear fails; either only costs disk, since no read goes there.
+  KVNode* outgoing = nodes_[move.from].get();
+  if (outgoing->up() && outgoing->engine() != nullptr) {
+    (void)ClearSpan(outgoing->engine(), range->desc.start_key, range->desc.end_key);
+  }
   return Status::OK();
 }
 

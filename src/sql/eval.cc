@@ -5,7 +5,7 @@
 
 namespace veloce::sql {
 
-StatusOr<int> ResolveColumn(const std::vector<Binding>& bindings,
+StatusOr<int> ResolveColumn(std::span<const Binding> bindings,
                             const std::string& qualifier, const std::string& name) {
   int found = -1;
   for (const auto& binding : bindings) {
@@ -113,7 +113,7 @@ StatusOr<Datum> Eval(const Expr& expr, const EvalContext& ctx) {
       return expr.literal;
     case Expr::Kind::kColumnRef: {
       VELOCE_ASSIGN_OR_RETURN(
-          int pos, ResolveColumn(*ctx.bindings, expr.table_name, expr.column_name));
+          int pos, ResolveColumn(ctx.bindings, expr.table_name, expr.column_name));
       // A position beyond the row happens only for the synthetic empty
       // group of a no-GROUP-BY aggregate over zero rows; read it as NULL.
       if (static_cast<size_t>(pos) >= ctx.row->size()) return Datum::Null();
@@ -175,7 +175,7 @@ void CollectAggregates(const Expr* expr, std::vector<const Expr*>* out) {
   CollectAggregates(expr->child.get(), out);
 }
 
-Status ValidateExpr(const Expr* expr, const std::vector<Binding>& bindings,
+Status ValidateExpr(const Expr* expr, std::span<const Binding> bindings,
                     const std::vector<Datum>* params) {
   if (expr == nullptr) return Status::OK();
   if (expr->kind == Expr::Kind::kColumnRef) {
@@ -386,10 +386,8 @@ ScanConstraints BuildScanConstraints(const TableDescriptor& desc,
   CollectConjuncts(where, &conjuncts);
 
   // Literal/param-only expressions can be evaluated without a row.
-  std::vector<Binding> no_bindings;
   Row empty_row;
   EvalContext const_ctx;
-  const_ctx.bindings = &no_bindings;
   const_ctx.row = &empty_row;
   const_ctx.params = params;
   auto constant_value = [&](const Expr& e) -> std::optional<Datum> {
@@ -543,6 +541,11 @@ ScanConstraints BuildScanConstraints(const TableDescriptor& desc,
       }
     }
     if (!enforced) out.unhandled.push_back(p.conjunct);
+  }
+  for (size_t i = 0; out.eq_cols == 0 && out.index < 0 && i < desc.secondaries.size();
+       ++i) {
+    const std::vector<uint32_t>& cols = desc.secondaries[i].column_ids;
+    if (!cols.empty() && out.eq.count(cols[0]) > 0) out.index = static_cast<int>(i);
   }
   return out;
 }

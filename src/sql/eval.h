@@ -3,6 +3,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ struct Binding {
 };
 
 struct EvalContext {
-  const std::vector<Binding>* bindings = nullptr;
+  std::span<const Binding> bindings;
   const Row* row = nullptr;
   const std::vector<Datum>* params = nullptr;
   /// Pre-computed aggregate results (group evaluation phase only).
@@ -50,7 +51,7 @@ inline int64_t WrapMul(int64_t a, int64_t b) {
 bool Truthy(const Datum& d);
 
 /// Resolves `[qualifier.]name` to a position in the concatenated row.
-StatusOr<int> ResolveColumn(const std::vector<Binding>& bindings,
+StatusOr<int> ResolveColumn(std::span<const Binding> bindings,
                             const std::string& qualifier, const std::string& name);
 
 /// Row-at-a-time expression evaluation (the row engine's interpreter, also
@@ -70,7 +71,7 @@ bool HasAggregate(const Expr* expr);
 
 /// Bind-time validation: every column reference must resolve and every $N
 /// parameter must be bound, even when no rows flow.
-Status ValidateExpr(const Expr* expr, const std::vector<Binding>& bindings,
+Status ValidateExpr(const Expr* expr, std::span<const Binding> bindings,
                     const std::vector<Datum>* params);
 
 /// Output column name for a select item without an explicit alias.
@@ -139,6 +140,10 @@ struct ScanConstraints {
   std::map<uint32_t, Datum> eq;
   /// PK prefix length covered by `eq`.
   size_t eq_cols = 0;
+  /// With no PK equality, the first secondary index (position in
+  /// desc.secondaries) whose leading column `eq` constrains: an index scan
+  /// plus a lookup join back to the primary index. -1 = none.
+  int index = -1;
   /// `column <op> constant` conjuncts on non-PK columns, in WHERE order —
   /// the KV-side filter list (pairs with pushdown.h's PushdownFilter).
   struct KvFilter {

@@ -1,20 +1,20 @@
 #include "sql/executor.h"
 
-#include <algorithm>
 #include <map>
-#include <set>
+#include <span>
 #include <unordered_map>
 
 #include "common/codec.h"
 #include "common/logging.h"
-#include "sql/pushdown.h"
+#include "sql/select_plan.h"
 #include "sql/vec/vec_exec.h"
 
 namespace veloce::sql {
 
 // The expression interpreter, scan-constraint extraction, AggState, and
 // Reader all live in sql/eval.{h,cc} — shared with the vectorized engine
-// (sql/vec/) and the KV-side pushdown evaluator (sql/pushdown.cc).
+// (sql/vec/) and the KV-side pushdown evaluator (sql/pushdown.cc) — and
+// SELECT planning, shared by both engines, in sql/select_plan.{h,cc}.
 
 // ---------------------------------------------------------------------------
 // ResultSet
@@ -119,31 +119,44 @@ StatusOr<ResultSet> Executor::Execute(const Statement& stmt, TenantTxn* txn,
   return Status::Internal("unhandled statement kind");
 }
 
-// Engine dispatch (docs/SQL_EXEC.md): non-transactional SELECTs try the
-// vectorized engine first; NotSupported from its planner means "not
-// covered", and the statement re-runs on the row engine. Any other status
-// (including real errors) is final — both engines implement identical
-// semantics, so there is no second try that could change the answer.
+// Engine dispatch (docs/SQL_EXEC.md): each SELECT is planned once, and
+// vec::Covers(plan) decides whether the vectorized engine runs it. A plan
+// error (an invalid statement) is final on every engine. NotSupported from
+// the vectorized engine at run time (a stored kind that does not match the
+// schema type) falls back to the row engine with the same plan; any other
+// status is final — both engines implement identical semantics.
 StatusOr<ResultSet> Executor::DispatchSelect(const SelectStmt& stmt, TenantTxn* txn,
                                              const std::vector<Datum>* params) {
-  if (engine_ != ExecEngine::kRow && txn == nullptr) {
-    vec::VecExecutor vexec(catalog_, connector_, pushdown_enabled_);
-    StatusOr<ResultSet> result = vexec.ExecSelect(stmt, params);
-    rows_scanned_c_->Inc(vexec.rows_scanned());
-    batches_c_->Inc(vexec.batches());
-    if (result.ok() || result.status().code() != Code::kNotSupported) {
-      last_select_engine_ = "vectorized";
-      engine_vec_c_->Inc();
-      return result;
+  SelectPlan plan;
+  // Only non-transactional scans push down: a transaction must see its own
+  // intents through the txn path.
+  const Status planned =
+      PlanSelect(stmt, params, pushdown_enabled_ && txn == nullptr, catalog_, &plan);
+  if (planned.ok() && engine_ != ExecEngine::kRow) {
+    Status covered =
+        txn != nullptr
+            ? Status::NotSupported("vectorized engine does not cover transactional reads")
+            : vec::Covers(plan);
+    if (covered.ok()) {
+      vec::VecExecutor vexec(connector_);
+      StatusOr<ResultSet> result = vexec.ExecSelect(plan);
+      rows_scanned_c_->Inc(vexec.rows_scanned());
+      batches_c_->Inc(vexec.batches());
+      if (result.ok() || result.status().code() != Code::kNotSupported) {
+        last_select_engine_ = "vectorized";
+        engine_vec_c_->Inc();
+        return result;
+      }
+      covered = result.status();
     }
-    if (engine_ == ExecEngine::kVectorized) return result.status();
+    if (engine_ == ExecEngine::kVectorized) return covered;
   } else if (engine_ == ExecEngine::kVectorized) {
-    return Status::NotSupported(
-        "vectorized engine does not cover transactional reads");
+    return planned;
   }
   last_select_engine_ = "row";
   engine_row_c_->Inc();
-  return ExecSelect(stmt, txn, params);
+  VELOCE_RETURN_IF_ERROR(planned);
+  return ExecSelect(plan, txn);
 }
 
 StatusOr<ResultSet> Executor::ExecCreateTable(const CreateTableStmt& stmt) {
@@ -190,7 +203,8 @@ StatusOr<ResultSet> Executor::ExecCreateIndex(const CreateIndexStmt& stmt,
   // Backfill existing rows.
   VELOCE_ASSIGN_OR_RETURN(TableDescriptor desc, catalog_->GetTable(stmt.table));
   std::vector<Row> rows;
-  VELOCE_RETURN_IF_ERROR(ScanTable(desc, desc.name, nullptr, txn, nullptr, &rows));
+  VELOCE_RETURN_IF_ERROR(
+      ScanTable(desc, BuildScanConstraints(desc, desc.name, nullptr, nullptr), txn, &rows));
   kv::BatchRequest backfill;
   for (const Row& row : rows) {
     backfill.AddPut(EncodeSecondaryKey(desc, idx, row), "");
@@ -210,71 +224,52 @@ StatusOr<ResultSet> Executor::ExecDropTable(const DropTableStmt& stmt) {
 
 // --- scanning ---------------------------------------------------------------
 
-Status Executor::ScanTable(const TableDescriptor& desc, const std::string& alias,
-                           const Expr* where, TenantTxn* txn,
-                           const std::vector<Datum>* params, std::vector<Row>* rows,
-                           const std::vector<uint32_t>* needed_columns) {
+Status Executor::ScanTable(const TableDescriptor& desc, const ScanConstraints& scan,
+                           TenantTxn* txn, std::vector<Row>* rows,
+                           const std::string& pushdown_spec) {
   Reader reader{txn, connector_};
-  const ScanConstraints plan = BuildScanConstraints(desc, alias, where, params);
-
-  if (plan.point) {
+  if (scan.point) {
     // Full PK: point lookup.
     std::optional<std::string> value;
-    VELOCE_RETURN_IF_ERROR(reader.Get(plan.start, &value));
+    VELOCE_RETURN_IF_ERROR(reader.Get(scan.start, &value));
     if (value.has_value()) {
       Row row;
-      VELOCE_RETURN_IF_ERROR(DecodeRow(desc, plan.start, *value, &row));
+      VELOCE_RETURN_IF_ERROR(DecodeRow(desc, scan.start, *value, &row));
       rows->push_back(std::move(row));
       rows_scanned_c_->Inc();
     }
     return Status::OK();
   }
 
-  // No useful PK constraint and a secondary index matches? Use an index
-  // scan + lookup join back to the primary index.
-  if (plan.eq_cols == 0) {
-    for (const auto& index : desc.secondaries) {
-      if (index.column_ids.empty()) continue;
-      auto it = plan.eq.find(index.column_ids[0]);
-      if (it == plan.eq.end()) continue;
-      // Build the index span over the leading equality columns.
-      std::string idx_start = IndexPrefix(desc.id, index.id);
-      for (uint32_t col_id : index.column_ids) {
-        auto eq_it = plan.eq.find(col_id);
-        if (eq_it == plan.eq.end()) break;
-        eq_it->second.EncodeKey(&idx_start);
-      }
-      std::vector<kv::MvccScanEntry> entries;
-      VELOCE_RETURN_IF_ERROR(
-          reader.Scan(idx_start, PrefixEnd(idx_start), 0, &entries));
-      for (const auto& entry : entries) {
-        std::vector<Datum> pk;
-        VELOCE_RETURN_IF_ERROR(DecodeSecondaryKeyPk(desc, index, entry.key, &pk));
-        const std::string pk_key = EncodePrimaryKeyFromDatums(desc, pk);
-        std::optional<std::string> value;
-        VELOCE_RETURN_IF_ERROR(reader.Get(pk_key, &value));
-        if (!value.has_value()) continue;  // index entry racing a delete
-        Row row;
-        VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pk_key, *value, &row));
-        rows->push_back(std::move(row));
-        rows_scanned_c_->Inc();
-      }
-      return Status::OK();
+  if (scan.index >= 0) {
+    // Secondary index scan over the leading equality columns, then a lookup
+    // join back to the primary index.
+    const IndexDescriptor& index = desc.secondaries[static_cast<size_t>(scan.index)];
+    std::string idx_start = IndexPrefix(desc.id, index.id);
+    for (uint32_t col_id : index.column_ids) {
+      auto eq_it = scan.eq.find(col_id);
+      if (eq_it == scan.eq.end()) break;
+      eq_it->second.EncodeKey(&idx_start);
     }
-  }
-
-  // Row-filter / projection push-down (DESIGN.md Section 6): eligible
-  // residual conjuncts and the needed-column list travel with the scan and
-  // evaluate at the KV node. Only for non-transactional reads (txn scans
-  // must observe their own intents through the txn path).
-  std::string pushdown_spec;
-  if (pushdown_enabled_ && txn == nullptr) {
-    PushdownSpec spec = MakeFilterSpec(plan, needed_columns, desc);
-    if (!spec.empty()) pushdown_spec = spec.Encode();
+    std::vector<kv::MvccScanEntry> entries;
+    VELOCE_RETURN_IF_ERROR(reader.Scan(idx_start, PrefixEnd(idx_start), 0, &entries));
+    for (const auto& entry : entries) {
+      std::vector<Datum> pk;
+      VELOCE_RETURN_IF_ERROR(DecodeSecondaryKeyPk(desc, index, entry.key, &pk));
+      const std::string pk_key = EncodePrimaryKeyFromDatums(desc, pk);
+      std::optional<std::string> value;
+      VELOCE_RETURN_IF_ERROR(reader.Get(pk_key, &value));
+      if (!value.has_value()) continue;  // index entry racing a delete
+      Row row;
+      VELOCE_RETURN_IF_ERROR(DecodeRow(desc, pk_key, *value, &row));
+      rows->push_back(std::move(row));
+      rows_scanned_c_->Inc();
+    }
+    return Status::OK();
   }
 
   std::vector<kv::MvccScanEntry> entries;
-  VELOCE_RETURN_IF_ERROR(reader.Scan(plan.start, plan.end, 0, &entries, pushdown_spec));
+  VELOCE_RETURN_IF_ERROR(reader.Scan(scan.start, scan.end, 0, &entries, pushdown_spec));
   rows->reserve(entries.size());
   for (const auto& entry : entries) {
     Row row;
@@ -287,75 +282,33 @@ Status Executor::ScanTable(const TableDescriptor& desc, const std::string& alias
 
 // --- SELECT ------------------------------------------------------------------
 
-StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
-                                         const std::vector<Datum>* params) {
-  ResultSet result;
-  std::vector<Binding> bindings;
+StatusOr<ResultSet> Executor::ExecSelect(const SelectPlan& plan, TenantTxn* txn) {
+  const SelectStmt& stmt = *plan.stmt;
+  const std::vector<Datum>* params = plan.params;
+  const std::span<const Binding> bindings = plan.bindings;
   std::vector<Row> current;  // concatenated rows
-
-  if (!stmt.table.empty()) {
-    VELOCE_ASSIGN_OR_RETURN(TableDescriptor desc, catalog_->GetTable(stmt.table));
-    Binding base;
-    base.alias = stmt.table_alias.empty() ? stmt.table : stmt.table_alias;
-    base.desc = desc;
-    base.offset = 0;
-    bindings.push_back(base);
-    // Projection push-down input: for single-table queries with an explicit
-    // select list, only the referenced columns need to leave the KV node.
-    std::vector<uint32_t> needed;
-    const std::vector<uint32_t>* needed_ptr = nullptr;
-    if (pushdown_enabled_ && stmt.joins.empty() && !stmt.items.empty() &&
-        CollectNeededColumns(stmt, desc, &needed)) {
-      needed_ptr = &needed;
-    }
-    VELOCE_RETURN_IF_ERROR(ScanTable(desc, base.alias, stmt.where.get(), txn,
-                                     params, &current, needed_ptr));
-  } else {
+  if (bindings.empty()) {
     current.push_back(Row{});  // table-less SELECT evaluates one row
+  } else {
+    VELOCE_RETURN_IF_ERROR(
+        ScanTable(bindings[0].desc, plan.scan, txn, &current, plan.filter_spec));
   }
 
   // Joins, left to right.
   Reader reader{txn, connector_};
-  for (const auto& join : stmt.joins) {
-    VELOCE_ASSIGN_OR_RETURN(TableDescriptor right, catalog_->GetTable(join.table));
-    Binding rb;
-    rb.alias = join.alias.empty() ? join.table : join.alias;
-    rb.desc = right;
-    rb.offset = bindings.empty() ? 0 : bindings.back().offset +
-                                          bindings.back().desc.columns.size();
-    // Extract equi-conjuncts left-side-expr = right-column.
-    std::vector<const Expr*> on_conjuncts;
-    CollectConjuncts(join.on.get(), &on_conjuncts);
-    std::vector<JoinEquiPair> equis;
-    std::vector<const Expr*> residual;
-    ExtractJoinEquis(on_conjuncts, right, rb.alias, &equis, &residual);
-
-    // Index join if the equi columns cover the right table's PK in order.
-    bool index_join = equis.size() == right.primary.column_ids.size();
-    std::vector<const Expr*> pk_exprs(right.primary.column_ids.size(), nullptr);
-    if (index_join) {
-      for (size_t i = 0; i < right.primary.column_ids.size(); ++i) {
-        for (const auto& pair : equis) {
-          if (pair.right_col_id == right.primary.column_ids[i]) {
-            pk_exprs[i] = pair.left_expr;
-            break;
-          }
-        }
-        if (pk_exprs[i] == nullptr) {
-          index_join = false;
-          break;
-        }
-      }
-    }
-
+  for (size_t j = 0; j < plan.joins.size(); ++j) {
+    const JoinPlan& jp = plan.joins[j];
+    const TableDescriptor& right = bindings[j + 1].desc;
+    // Equi probes evaluate over the tables bound before this one.
+    const std::span<const Binding> left = bindings.first(j + 1);
     std::vector<Row> joined;
-    if (index_join) {
+    if (jp.index_join()) {
       // Per-row KV point lookups (the Q9 plan shape).
       for (const Row& row : current) {
-        EvalContext ctx{&bindings, &row, params, nullptr};
+        EvalContext ctx{left, &row, params, nullptr};
         std::vector<Datum> pk_values;
         bool null_key = false;
-        for (const Expr* e : pk_exprs) {
+        for (const Expr* e : jp.pk_exprs) {
           VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*e, ctx));
           if (v.is_null()) {
             null_key = true;
@@ -375,59 +328,47 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
         joined.push_back(std::move(combined));
       }
     } else {
-      // Hash join (or nested loop when no equi columns exist).
+      // Hash join; with no equi columns every row hashes to the empty key,
+      // which makes it a nested loop.
       std::vector<Row> right_rows;
-      VELOCE_RETURN_IF_ERROR(
-          ScanTable(right, rb.alias, nullptr, txn, params, &right_rows));
-      if (!equis.empty()) {
-        std::multimap<std::string, const Row*> table;
-        for (const Row& rrow : right_rows) {
-          std::string key;
-          for (const auto& pair : equis) {
-            const int pos = right.ColumnIndex(pair.right_col_id);
-            rrow[static_cast<size_t>(pos)].EncodeKey(&key);
-          }
-          table.emplace(std::move(key), &rrow);
+      VELOCE_RETURN_IF_ERROR(ScanTable(right, jp.scan, txn, &right_rows));
+      std::multimap<std::string, const Row*> table;
+      for (const Row& rrow : right_rows) {
+        std::string key;
+        for (const auto& pair : jp.equis) {
+          rrow[static_cast<size_t>(right.ColumnIndex(pair.right_col_id))].EncodeKey(&key);
         }
-        for (const Row& row : current) {
-          EvalContext ctx{&bindings, &row, params, nullptr};
-          std::string key;
-          bool null_key = false;
-          for (const auto& pair : equis) {
-            VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*pair.left_expr, ctx));
-            if (v.is_null()) {
-              null_key = true;
-              break;
-            }
-            v.EncodeKey(&key);
+        table.emplace(std::move(key), &rrow);
+      }
+      for (const Row& row : current) {
+        EvalContext ctx{left, &row, params, nullptr};
+        std::string key;
+        bool null_key = false;
+        for (const auto& pair : jp.equis) {
+          VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*pair.left_expr, ctx));
+          if (v.is_null()) {
+            null_key = true;
+            break;
           }
-          if (null_key) continue;
-          auto [lo, hi] = table.equal_range(key);
-          for (auto it = lo; it != hi; ++it) {
-            Row combined = row;
-            combined.insert(combined.end(), it->second->begin(), it->second->end());
-            joined.push_back(std::move(combined));
-          }
+          v.EncodeKey(&key);
         }
-      } else {
-        for (const Row& row : current) {
-          for (const Row& rrow : right_rows) {
-            Row combined = row;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            joined.push_back(std::move(combined));
-          }
+        if (null_key) continue;
+        auto [lo, hi] = table.equal_range(key);
+        for (auto it = lo; it != hi; ++it) {
+          Row combined = row;
+          combined.insert(combined.end(), it->second->begin(), it->second->end());
+          joined.push_back(std::move(combined));
         }
       }
     }
-    bindings.push_back(rb);
     current = std::move(joined);
-    // Apply residual ON conjuncts.
-    if (!residual.empty()) {
+    // Apply residual ON conjuncts over the combined row.
+    if (!jp.residual.empty()) {
       std::vector<Row> filtered;
       for (Row& row : current) {
-        EvalContext ctx{&bindings, &row, params, nullptr};
+        EvalContext ctx{bindings.first(j + 2), &row, params, nullptr};
         bool keep = true;
-        for (const Expr* c : residual) {
+        for (const Expr* c : jp.residual) {
           VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*c, ctx));
           if (!Truthy(v)) {
             keep = false;
@@ -440,210 +381,81 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
     }
   }
 
-  // Bind-time validation over the complete binding set (so errors surface
-  // even when the tables are empty). ORDER BY is excluded: it resolves
-  // against output column names below.
-  for (const auto& item : stmt.items) {
-    VELOCE_RETURN_IF_ERROR(ValidateExpr(item.expr.get(), bindings, params));
-  }
-  VELOCE_RETURN_IF_ERROR(ValidateExpr(stmt.where.get(), bindings, params));
-  for (const auto& g : stmt.group_by) {
-    VELOCE_RETURN_IF_ERROR(ValidateExpr(g.get(), bindings, params));
-  }
-
   // WHERE (the PK-pushed conjuncts re-evaluate harmlessly).
   if (stmt.where != nullptr) {
     std::vector<Row> filtered;
     for (Row& row : current) {
-      EvalContext ctx{&bindings, &row, params, nullptr};
+      EvalContext ctx{bindings, &row, params, nullptr};
       VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*stmt.where, ctx));
       if (Truthy(v)) filtered.push_back(std::move(row));
     }
     current = std::move(filtered);
   }
 
-  // Determine projection items. SELECT * expands to one column per bound
-  // table column (owned expressions); otherwise items are borrowed.
-  std::vector<ExprPtr> star_exprs;
-  std::vector<const Expr*> item_exprs;
-  std::vector<std::string> item_names;
-  if (stmt.items.empty()) {
-    for (const auto& binding : bindings) {
-      for (const auto& col : binding.desc.columns) {
-        star_exprs.push_back(Expr::Column(binding.alias, col.name));
-        item_exprs.push_back(star_exprs.back().get());
-        item_names.push_back(col.name);
-      }
-    }
-  } else {
-    for (const auto& item : stmt.items) {
-      item_exprs.push_back(item.expr.get());
-      item_names.push_back(DeriveColumnName(*item.expr, item.alias));
-    }
-  }
-  result.columns = item_names;
-
-  // Aggregation?
-  bool any_agg = !stmt.group_by.empty();
-  for (const Expr* e : item_exprs) {
-    if (HasAggregate(e)) any_agg = true;
-  }
-
-  // Resolve ORDER BY items up front: each is either an output column
-  // (by name/alias or 1-based ordinal) or — for non-aggregated queries —
-  // an arbitrary expression over the input row (standard SQL allows
-  // ordering by non-projected columns).
-  struct SortKey {
-    int output_idx = -1;        // >= 0: sort by this output column
-    const Expr* expr = nullptr; // else: evaluate against the input row
-    bool desc = false;
-  };
-  std::vector<SortKey> sort_keys;
-  for (const auto& ob : stmt.order_by) {
-    SortKey key;
-    key.desc = ob.desc;
-    if (ob.expr->kind == Expr::Kind::kColumnRef) {
-      // Match output columns by (possibly qualified) name: `ORDER BY n.name`
-      // matches the output column "name" derived from n.name.
-      for (size_t i = 0; i < item_names.size(); ++i) {
-        if (item_names[i] == ob.expr->column_name) {
-          key.output_idx = static_cast<int>(i);
-          break;
-        }
-      }
-    } else if (ob.expr->kind == Expr::Kind::kLiteral &&
-               ob.expr->literal.kind() == TypeKind::kInt) {
-      const int idx = static_cast<int>(ob.expr->literal.int_value()) - 1;
-      if (idx < 0 || idx >= static_cast<int>(item_names.size())) {
-        return Status::InvalidArgument("ORDER BY position out of range");
-      }
-      key.output_idx = idx;
-    }
-    if (key.output_idx < 0) {
-      key.expr = ob.expr.get();
-      VELOCE_RETURN_IF_ERROR(ValidateExpr(key.expr, bindings, params));
-    }
-    sort_keys.push_back(key);
-  }
-  const bool needs_input_keys = [&] {
-    for (const auto& key : sort_keys) {
-      if (key.expr != nullptr) return true;
-    }
-    return false;
-  }();
-
   std::vector<Row> output;
   std::vector<Row> input_sort_values;  // parallel to output, expr-key values
-  if (any_agg) {
-    if (needs_input_keys) {
-      return Status::InvalidArgument(
-          "ORDER BY must name an output column in aggregated queries");
-    }
-    // Group rows by the GROUP BY key.
+  if (plan.any_agg) {
+    // Group rows by the GROUP BY key; a group's representative is its first
+    // row, its states are parallel to plan.agg_nodes.
     struct Group {
       Row representative;
-      std::map<const Expr*, AggState> states;
-      std::vector<Datum> key_values;
+      std::vector<AggState> states;
     };
     std::map<std::string, Group> groups;
-    std::vector<const Expr*> agg_nodes;
-    for (const Expr* e : item_exprs) CollectAggregates(e, &agg_nodes);
-
+    const size_t num_aggs = plan.agg_nodes.size();
     for (const Row& row : current) {
-      EvalContext ctx{&bindings, &row, params, nullptr};
+      EvalContext ctx{bindings, &row, params, nullptr};
       std::string key;
-      std::vector<Datum> key_values;
       for (const auto& g : stmt.group_by) {
         VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*g, ctx));
         v.EncodeKey(&key);
-        key_values.push_back(std::move(v));
       }
-      Group& group = groups[key];
-      if (group.representative.empty() && !row.empty()) group.representative = row;
-      group.key_values = key_values;
-      for (const Expr* agg : agg_nodes) {
-        AggState& state = group.states[agg];
+      auto [it, inserted] = groups.try_emplace(std::move(key));
+      Group& group = it->second;
+      if (inserted) group = Group{row, std::vector<AggState>(num_aggs)};
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const Expr* agg = plan.agg_nodes[a];
         if (agg->child->kind == Expr::Kind::kStar) {
-          state.Accumulate(Datum::Int(1), AggFunc::kCount);
-        } else {
-          VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*agg->child, ctx));
-          if (agg->agg == AggFunc::kCount) {
-            if (!v.is_null()) state.Accumulate(v, AggFunc::kCount);
-          } else {
-            state.Accumulate(v, agg->agg);
-          }
+          group.states[a].Accumulate(Datum::Int(1), AggFunc::kCount);
+          continue;
+        }
+        VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*agg->child, ctx));
+        if (agg->agg != AggFunc::kCount || !v.is_null()) {
+          group.states[a].Accumulate(v, agg->agg);
         }
       }
     }
     // Aggregates over an empty input with no GROUP BY produce one row.
     if (groups.empty() && stmt.group_by.empty()) {
-      groups[""] = Group{};
+      groups[""] = Group{Row{}, std::vector<AggState>(num_aggs)};
     }
-    for (auto& [key, group] : groups) {
-      std::map<const Expr*, Datum> agg_values;
-      for (const Expr* agg : agg_nodes) {
-        agg_values[agg] = group.states[agg].Result(agg->agg);
-      }
-      const Row& rep = group.representative;
-      EvalContext ctx{&bindings, &rep, params, &agg_values};
-      Row out_row;
-      for (const Expr* e : item_exprs) {
-        VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*e, ctx));
-        out_row.push_back(std::move(v));
-      }
+    for (const auto& [key, group] : groups) {
+      VELOCE_ASSIGN_OR_RETURN(Row out_row,
+                              plan.GroupRow(group.representative, group.states.data()));
       output.push_back(std::move(out_row));
     }
   } else {
     for (const Row& row : current) {
-      EvalContext ctx{&bindings, &row, params, nullptr};
-      Row out_row;
-      for (const Expr* e : item_exprs) {
-        VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*e, ctx));
-        out_row.push_back(std::move(v));
-      }
+      VELOCE_ASSIGN_OR_RETURN(Row out_row, plan.Project(row));
       output.push_back(std::move(out_row));
-      if (needs_input_keys) {
-        Row keys;
-        for (const auto& key : sort_keys) {
-          if (key.expr == nullptr) {
-            keys.push_back(Datum::Null());  // placeholder; output idx used
-          } else {
-            VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*key.expr, ctx));
-            keys.push_back(std::move(v));
-          }
+      if (!plan.needs_input_keys) continue;
+      EvalContext ctx{bindings, &row, params, nullptr};
+      Row keys;
+      for (const SortKey& key : plan.sort_keys) {
+        if (key.expr == nullptr) {
+          keys.push_back(Datum::Null());  // placeholder; output idx used
+        } else {
+          VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*key.expr, ctx));
+          keys.push_back(std::move(v));
         }
-        input_sort_values.push_back(std::move(keys));
       }
+      input_sort_values.push_back(std::move(keys));
     }
   }
 
-  // ORDER BY: sort by output columns and/or pre-evaluated input keys.
-  if (!sort_keys.empty()) {
-    std::vector<size_t> order(output.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < sort_keys.size(); ++k) {
-        const SortKey& key = sort_keys[k];
-        const Datum& va = key.output_idx >= 0
-                              ? output[a][static_cast<size_t>(key.output_idx)]
-                              : input_sort_values[a][k];
-        const Datum& vb = key.output_idx >= 0
-                              ? output[b][static_cast<size_t>(key.output_idx)]
-                              : input_sort_values[b][k];
-        const int c = va.Compare(vb);
-        if (c != 0) return key.desc ? c > 0 : c < 0;
-      }
-      return false;
-    });
-    std::vector<Row> sorted;
-    sorted.reserve(output.size());
-    for (size_t idx : order) sorted.push_back(std::move(output[idx]));
-    output = std::move(sorted);
-  }
-
-  if (stmt.limit >= 0 && output.size() > static_cast<size_t>(stmt.limit)) {
-    output.resize(static_cast<size_t>(stmt.limit));
-  }
+  plan.SortAndLimit(&output, input_sort_values);
+  ResultSet result;
+  result.columns = plan.columns;
   result.rows = std::move(output);
   return result;
 }
@@ -720,9 +532,8 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt, TenantTxn* txn,
     }
   }
 
-  std::vector<Binding> no_bindings;
   Row empty_row;
-  EvalContext ctx{&no_bindings, &empty_row, params, nullptr};
+  EvalContext ctx{{}, &empty_row, params, nullptr};
   auto eval_row = [&](const std::vector<ExprPtr>& value_row, Row* row) -> Status {
     if (value_row.size() != positions.size()) {
       return Status::InvalidArgument("INSERT value count mismatch");
@@ -777,12 +588,12 @@ StatusOr<ResultSet> Executor::ExecUpdate(const UpdateStmt& stmt, TenantTxn* txn,
   VELOCE_RETURN_IF_ERROR(ValidateExpr(stmt.where.get(), bindings, params));
 
   std::vector<Row> rows;
-  VELOCE_RETURN_IF_ERROR(
-      ScanTable(desc, stmt.table, stmt.where.get(), txn, params, &rows));
+  VELOCE_RETURN_IF_ERROR(ScanTable(
+      desc, BuildScanConstraints(desc, stmt.table, stmt.where.get(), params), txn, &rows));
 
   ResultSet result;
   for (const Row& old_row : rows) {
-    EvalContext ctx{&bindings, &old_row, params, nullptr};
+    EvalContext ctx{bindings, &old_row, params, nullptr};
     if (stmt.where != nullptr) {
       VELOCE_ASSIGN_OR_RETURN(Datum keep, Eval(*stmt.where, ctx));
       if (!Truthy(keep)) continue;
@@ -823,11 +634,11 @@ StatusOr<ResultSet> Executor::ExecDelete(const DeleteStmt& stmt, TenantTxn* txn,
   VELOCE_RETURN_IF_ERROR(ValidateExpr(stmt.where.get(), bindings, params));
 
   std::vector<Row> rows;
-  VELOCE_RETURN_IF_ERROR(
-      ScanTable(desc, stmt.table, stmt.where.get(), txn, params, &rows));
+  VELOCE_RETURN_IF_ERROR(ScanTable(
+      desc, BuildScanConstraints(desc, stmt.table, stmt.where.get(), params), txn, &rows));
   ResultSet result;
   for (const Row& row : rows) {
-    EvalContext ctx{&bindings, &row, params, nullptr};
+    EvalContext ctx{bindings, &row, params, nullptr};
     if (stmt.where != nullptr) {
       VELOCE_ASSIGN_OR_RETURN(Datum keep, Eval(*stmt.where, ctx));
       if (!Truthy(keep)) continue;

@@ -14,6 +14,8 @@
 
 namespace veloce::sql {
 
+struct SelectPlan;
+
 /// Result of executing one statement.
 struct ResultSet {
   std::vector<std::string> columns;
@@ -36,12 +38,11 @@ enum class ExecEngine {
 /// transaction go through the non-transactional fast path at the current
 /// timestamp.
 ///
-/// SELECT execution is two-engine (docs/SQL_EXEC.md): non-transactional
-/// reads dispatch to the vectorized columnar engine (sql/vec/) and fall
-/// back per-statement to the interpreted row engine for anything the
-/// vectorized planner does not cover (DML, transactional reads, plans it
-/// rejects). Planning is deliberately simple but shaped like the real
-/// system:
+/// SELECT execution is two-engine (docs/SQL_EXEC.md): each SELECT is
+/// planned once (sql/select_plan.h); non-transactional reads whose plan
+/// vec::Covers dispatch to the vectorized columnar engine (sql/vec/), and
+/// everything else runs on the interpreted row engine from the same plan.
+/// Planning is deliberately simple but shaped like the real system:
 ///  * WHERE conjuncts on a primary-key prefix become point gets or range
 ///    scans (index-constrained scans are "pushed down" in the sense that
 ///    only the constrained keyspan crosses the KV boundary);
@@ -84,23 +85,19 @@ class Executor {
                                  const std::vector<Datum>* params);
   StatusOr<ResultSet> DispatchSelect(const SelectStmt& stmt, TenantTxn* txn,
                                      const std::vector<Datum>* params);
-  StatusOr<ResultSet> ExecSelect(const SelectStmt& stmt, TenantTxn* txn,
-                                 const std::vector<Datum>* params);
+  StatusOr<ResultSet> ExecSelect(const SelectPlan& plan, TenantTxn* txn);
   StatusOr<ResultSet> ExecUpdate(const UpdateStmt& stmt, TenantTxn* txn,
                                  const std::vector<Datum>* params);
   StatusOr<ResultSet> ExecDelete(const DeleteStmt& stmt, TenantTxn* txn,
                                  const std::vector<Datum>* params);
 
-  /// Scans `desc` rows satisfying the PK constraints derivable from
-  /// `where` (point get / prefix scan / full scan). `alias` is the
-  /// binding name `where` qualifies the table's columns with. Remaining
-  /// filtering happens at a higher level. `needed_columns` (nullable)
-  /// lists the column ids the caller will read — the projection push-down
-  /// input.
-  Status ScanTable(const TableDescriptor& desc, const std::string& alias,
-                   const Expr* where, TenantTxn* txn,
-                   const std::vector<Datum>* params, std::vector<Row>* rows,
-                   const std::vector<uint32_t>* needed_columns = nullptr);
+  /// Reads the rows of `desc` that `scan` selects: a point get, a
+  /// secondary-index scan plus lookup join, or a primary span scan that
+  /// sends `pushdown_spec` (sql/pushdown.h) with it. Remaining filtering
+  /// happens at a higher level.
+  Status ScanTable(const TableDescriptor& desc, const ScanConstraints& scan,
+                   TenantTxn* txn, std::vector<Row>* rows,
+                   const std::string& pushdown_spec = std::string());
 
   /// INSERT / UPSERT of `rows`: reads every primary key in one batch, then
   /// writes the rows in order. A row whose key exists, or was written by

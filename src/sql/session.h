@@ -47,9 +47,10 @@ class Session {
     return prepared_;
   }
 
-  void SetSetting(const std::string& name, const std::string& value) {
-    settings_[name] = value;
-  }
+  /// Stores a session setting. The ones the session acts on take effect
+  /// here, read once: `kv_pushdown = on|off`, `vectorize = on|off|force`
+  /// (docs/SQL_EXEC.md) and `txn_mode = fast|classic` (docs/TXN.md).
+  void SetSetting(const std::string& name, const std::string& value);
   StatusOr<std::string> GetSetting(const std::string& name) const;
   const std::map<std::string, std::string>& settings() const { return settings_; }
 
@@ -91,6 +92,7 @@ class Session {
   Executor executor_;
   std::map<std::string, std::string> settings_;
   std::map<std::string, std::string> prepared_;  // name -> SQL text
+  kv::TxnOptions txn_options_;  // from `txn_mode`, for the next BEGIN
   std::unique_ptr<TenantTxn> txn_;
   bool txn_aborted_ = false;  // txn_ rolled back by a failed statement
   uint64_t statements_executed_ = 0;

@@ -114,15 +114,6 @@ void ColumnVector::SetString(size_t i, std::string_view s) {
   nulls[i] = 0;
 }
 
-double ColumnVector::AsDoubleAt(size_t i) const {
-  switch (type) {
-    case TypeKind::kInt: return static_cast<double>(ints[i]);
-    case TypeKind::kDouble: return doubles[i];
-    case TypeKind::kBool: return ints[i] != 0 ? 1 : 0;
-    default: return 0;  // strings coerce to 0, matching Datum::AsDouble
-  }
-}
-
 Datum ColumnVector::GetDatum(size_t i) const {
   if (nulls[i] != 0) return Datum::Null();
   switch (type) {

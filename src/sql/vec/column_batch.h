@@ -63,7 +63,14 @@ struct ColumnVector {
     return std::string_view(arena).substr(str_off[i], str_len[i]);
   }
   /// Datum::AsDouble for a non-null slot (string -> 0, bool -> 0/1).
-  double AsDoubleAt(size_t i) const;
+  double AsDoubleAt(size_t i) const {
+    switch (type) {
+      case TypeKind::kInt: return static_cast<double>(ints[i]);
+      case TypeKind::kDouble: return doubles[i];
+      case TypeKind::kBool: return ints[i] != 0 ? 1 : 0;
+      default: return 0;  // strings coerce to 0, matching Datum::AsDouble
+    }
+  }
 
   /// Materializes one slot as a Datum (null slot -> Null).
   Datum GetDatum(size_t i) const;

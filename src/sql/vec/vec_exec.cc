@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -17,15 +18,14 @@ namespace veloce::sql::vec {
 
 namespace {
 
-// Plan-time rejection: the statement re-runs on the row engine, which
-// either covers the shape or reproduces the exact user-facing error.
+// Plan-time rejection: the statement runs on the row engine instead.
 Status NotCovered(const char* what) {
   return Status::NotSupported(std::string("vectorized engine: ") + what);
 }
 
 // Resolves every column reference under `expr` against `bindings`,
 // recording node -> concatenated-row position (== batch column index).
-Status BindExpr(const Expr* expr, const std::vector<Binding>& bindings,
+Status BindExpr(const Expr* expr, std::span<const Binding> bindings,
                 std::map<const Expr*, int>* positions) {
   if (expr == nullptr) return Status::OK();
   if (expr->kind == Expr::Kind::kColumnRef) {
@@ -37,14 +37,6 @@ Status BindExpr(const Expr* expr, const std::vector<Binding>& bindings,
   VELOCE_RETURN_IF_ERROR(BindExpr(expr->left.get(), bindings, positions));
   VELOCE_RETURN_IF_ERROR(BindExpr(expr->right.get(), bindings, positions));
   return BindExpr(expr->child.get(), bindings, positions);
-}
-
-// Validates and binds in one step; any failure rejects the plan.
-Status ValidateAndBind(const Expr* expr, const std::vector<Binding>& bindings,
-                       const std::vector<Datum>* params,
-                       std::map<const Expr*, int>* positions) {
-  VELOCE_RETURN_IF_ERROR(ValidateExpr(expr, bindings, params));
-  return BindExpr(expr, bindings, positions);
 }
 
 // Converts an aggregate input to the KV-evaluable expression subset:
@@ -260,191 +252,89 @@ bool AppendPackedKeyAt(const Vec& gv, uint32_t i, unsigned char* buf,
   return true;
 }
 
+// Row i's key over `vecs`: packed into *packed when its hash-identity
+// bytes fit 16 bytes (returns true), else those bytes in *bytes.
+bool KeyAt(const std::vector<Vec>& vecs, uint32_t i, PackedKey* packed,
+           std::string* bytes) {
+  uint64_t kb[2] = {0, 0};
+  uint32_t used = 0;
+  for (const Vec& v : vecs) {
+    if (!AppendPackedKeyAt(v, i, reinterpret_cast<unsigned char*>(kb), &used)) {
+      bytes->clear();
+      for (const Vec& w : vecs) w.AppendHashKeyAt(i, bytes);
+      return false;
+    }
+  }
+  *packed = PackedKey{kb[0], kb[1], used};
+  return true;
+}
+
 }  // namespace
 
-StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
-                                            const std::vector<Datum>* params) {
-  // ---- plan: bindings ------------------------------------------------------
-  if (stmt.table.empty()) return NotCovered("table-less SELECT");
-  StatusOr<TableDescriptor> base_desc = catalog_->GetTable(stmt.table);
-  if (!base_desc.ok()) return NotCovered("unresolvable table");
-
-  std::vector<Binding> bindings;
-  Binding base;
-  base.alias = stmt.table_alias.empty() ? stmt.table : stmt.table_alias;
-  base.desc = std::move(base_desc).value();
-  base.offset = 0;
-  // ---- plan: base scan -----------------------------------------------------
+Status Covers(const SelectPlan& plan) {
+  if (plan.bindings.empty()) return NotCovered("table-less SELECT");
   // Point gets and secondary-index scans are the row engine's specialty —
-  // batching buys nothing at 0-or-1 (or few) rows per lookup. Reject them
-  // before any binding work: the row engine redoes all of it.
-  const ScanConstraints plan =
-      BuildScanConstraints(base.desc, base.alias, stmt.where.get(), params);
-  if (plan.point) return NotCovered("point lookup");
-  if (plan.eq_cols == 0) {
-    for (const auto& index : base.desc.secondaries) {
-      if (!index.column_ids.empty() &&
-          plan.eq.find(index.column_ids[0]) != plan.eq.end()) {
-        return NotCovered("secondary index scan");
-      }
-    }
-  }
-  bindings.push_back(std::move(base));
-
-  std::map<const Expr*, int> positions;
-
-  struct JoinPlan {
-    Binding binding;
-    std::vector<JoinEquiPair> equis;
-    std::vector<const Expr*> residual;
-  };
-  std::vector<JoinPlan> join_plans;
-  for (const auto& join : stmt.joins) {
-    StatusOr<TableDescriptor> right = catalog_->GetTable(join.table);
-    if (!right.ok()) return NotCovered("unresolvable join table");
-    JoinPlan jp;
-    jp.binding.alias = join.alias.empty() ? join.table : join.alias;
-    jp.binding.desc = std::move(right).value();
-    jp.binding.offset =
-        bindings.back().offset + bindings.back().desc.columns.size();
-    std::vector<const Expr*> on_conjuncts;
-    CollectConjuncts(join.on.get(), &on_conjuncts);
-    ExtractJoinEquis(on_conjuncts, jp.binding.desc, jp.binding.alias, &jp.equis,
-                     &jp.residual);
-    // No equi columns -> nested-loop join; covered but left to the row
-    // engine (rare shape, not worth a kernel).
+  // batching buys nothing at 0-or-1 (or few) rows per lookup.
+  if (plan.scan.point) return NotCovered("point lookup");
+  if (plan.scan.index >= 0) return NotCovered("secondary index scan");
+  for (const JoinPlan& jp : plan.joins) {
+    // No equi columns -> nested-loop join; left to the row engine (rare
+    // shape, not worth a kernel).
     if (jp.equis.empty()) return NotCovered("non-equi join");
-    // Equi columns covering the right PK run as per-row index lookups in
-    // the row engine (the Q9 remote-lookup plan). Keep that plan shape —
-    // a hash join here would turn point reads into a full scan.
-    bool index_join = jp.equis.size() == jp.binding.desc.primary.column_ids.size();
-    if (index_join) {
-      for (uint32_t pk_col : jp.binding.desc.primary.column_ids) {
-        bool found = false;
-        for (const auto& pair : jp.equis) {
-          if (pair.right_col_id == pk_col) found = true;
-        }
-        if (!found) {
-          index_join = false;
-          break;
-        }
-      }
-    }
-    if (index_join) return NotCovered("index join");
-    // Probe expressions evaluate over the rows bound so far.
-    for (const auto& pair : jp.equis) {
+    // Keep the index join's per-row lookups (the Q9 remote-lookup plan): a
+    // hash join here would turn point reads into a full scan.
+    if (jp.index_join()) return NotCovered("index join");
+    for (const JoinEquiPair& pair : jp.equis) {
       if (HasAggregate(pair.left_expr)) return NotCovered("aggregate in ON");
-      if (!ValidateAndBind(pair.left_expr, bindings, params, &positions).ok()) {
-        return NotCovered("unresolvable ON expression");
-      }
     }
-    bindings.push_back(jp.binding);
     for (const Expr* c : jp.residual) {
       if (HasAggregate(c)) return NotCovered("aggregate in ON");
-      if (!ValidateAndBind(c, bindings, params, &positions).ok()) {
-        return NotCovered("unresolvable ON expression");
-      }
-    }
-    join_plans.push_back(std::move(jp));
-  }
-
-  // ---- plan: projection, aggregation, ordering -----------------------------
-  std::vector<ExprPtr> star_exprs;
-  std::vector<const Expr*> item_exprs;
-  std::vector<std::string> item_names;
-  if (stmt.items.empty()) {
-    for (const auto& binding : bindings) {
-      for (const auto& col : binding.desc.columns) {
-        star_exprs.push_back(Expr::Column(binding.alias, col.name));
-        item_exprs.push_back(star_exprs.back().get());
-        item_names.push_back(col.name);
-      }
-    }
-  } else {
-    for (const auto& item : stmt.items) {
-      item_exprs.push_back(item.expr.get());
-      item_names.push_back(DeriveColumnName(*item.expr, item.alias));
     }
   }
-
-  for (const Expr* e : item_exprs) {
-    if (!ValidateAndBind(e, bindings, params, &positions).ok()) {
-      return NotCovered("unresolvable select item");
-    }
-  }
-  if (stmt.where != nullptr) {
-    if (HasAggregate(stmt.where.get())) return NotCovered("aggregate in WHERE");
-    if (!ValidateAndBind(stmt.where.get(), bindings, params, &positions).ok()) {
-      return NotCovered("unresolvable WHERE");
-    }
-  }
-  for (const auto& g : stmt.group_by) {
+  if (HasAggregate(plan.stmt->where.get())) return NotCovered("aggregate in WHERE");
+  for (const ExprPtr& g : plan.stmt->group_by) {
     if (HasAggregate(g.get())) return NotCovered("aggregate in GROUP BY");
-    if (!ValidateAndBind(g.get(), bindings, params, &positions).ok()) {
-      return NotCovered("unresolvable GROUP BY");
-    }
   }
-
-  bool any_agg = !stmt.group_by.empty();
-  for (const Expr* e : item_exprs) {
-    if (HasAggregate(e)) any_agg = true;
-  }
-  std::vector<const Expr*> agg_nodes;
-  for (const Expr* e : item_exprs) CollectAggregates(e, &agg_nodes);
-  for (const Expr* agg : agg_nodes) {
-    if (agg->child == nullptr) return NotCovered("aggregate without input");
+  for (const Expr* agg : plan.agg_nodes) {
     if (HasAggregate(agg->child.get())) return NotCovered("nested aggregate");
-    if (agg->child->kind != Expr::Kind::kStar &&
-        !ValidateAndBind(agg->child.get(), bindings, params, &positions).ok()) {
-      return NotCovered("unresolvable aggregate input");
-    }
   }
+  for (const SortKey& key : plan.sort_keys) {
+    if (HasAggregate(key.expr)) return NotCovered("aggregate in ORDER BY");
+  }
+  return Status::OK();
+}
 
-  // ORDER BY resolution mirrors the row engine: output column by name or
-  // 1-based ordinal, else an input-row expression (non-aggregated only).
-  struct SortKey {
-    int output_idx = -1;
-    const Expr* expr = nullptr;
-    bool desc = false;
+StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectPlan& plan) {
+  const SelectStmt& stmt = *plan.stmt;
+  const std::vector<Datum>* params = plan.params;
+  const std::span<const Binding> bindings = plan.bindings;
+  const std::vector<const Expr*>& agg_nodes = plan.agg_nodes;
+  const ScanConstraints& scan = plan.scan;
+
+  // ---- bind: column positions ----------------------------------------------
+  // Each expression binds over the tables it was validated against: equi
+  // probes over those before their join, residual ON conjuncts up to it.
+  std::map<const Expr*, int> positions;
+  auto bind = [&](const Expr* e, size_t num_bindings) {
+    return BindExpr(e, bindings.first(num_bindings), &positions);
   };
-  std::vector<SortKey> sort_keys;
-  for (const auto& ob : stmt.order_by) {
-    SortKey key;
-    key.desc = ob.desc;
-    if (ob.expr->kind == Expr::Kind::kColumnRef) {
-      for (size_t i = 0; i < item_names.size(); ++i) {
-        if (item_names[i] == ob.expr->column_name) {
-          key.output_idx = static_cast<int>(i);
-          break;
-        }
-      }
-    } else if (ob.expr->kind == Expr::Kind::kLiteral &&
-               ob.expr->literal.kind() == TypeKind::kInt) {
-      const int idx = static_cast<int>(ob.expr->literal.int_value()) - 1;
-      if (idx < 0 || idx >= static_cast<int>(item_names.size())) {
-        return NotCovered("ORDER BY position out of range");
-      }
-      key.output_idx = idx;
+  for (size_t j = 0; j < plan.joins.size(); ++j) {
+    for (const JoinEquiPair& pair : plan.joins[j].equis) {
+      VELOCE_RETURN_IF_ERROR(bind(pair.left_expr, j + 1));
     }
-    if (key.output_idx < 0) {
-      if (any_agg) return NotCovered("ORDER BY expression in aggregated query");
-      key.expr = ob.expr.get();
-      if (HasAggregate(key.expr)) return NotCovered("aggregate in ORDER BY");
-      if (!ValidateAndBind(key.expr, bindings, params, &positions).ok()) {
-        return NotCovered("unresolvable ORDER BY expression");
-      }
-    }
-    sort_keys.push_back(key);
+    for (const Expr* c : plan.joins[j].residual) VELOCE_RETURN_IF_ERROR(bind(c, j + 2));
   }
-  bool needs_input_keys = false;
-  for (const auto& key : sort_keys) {
-    if (key.expr != nullptr) needs_input_keys = true;
+  for (const Expr* e : plan.items) VELOCE_RETURN_IF_ERROR(bind(e, bindings.size()));
+  VELOCE_RETURN_IF_ERROR(bind(stmt.where.get(), bindings.size()));
+  for (const ExprPtr& g : stmt.group_by) VELOCE_RETURN_IF_ERROR(bind(g.get(), bindings.size()));
+  for (const SortKey& key : plan.sort_keys) {
+    VELOCE_RETURN_IF_ERROR(bind(key.expr, bindings.size()));
   }
 
   const TableDescriptor& desc = bindings[0].desc;
   const std::string& base_alias = bindings[0].alias;
   ResultSet result;
-  result.columns = item_names;
+  result.columns = plan.columns;
   std::vector<Row> output;
   std::vector<Row> input_sort_values;  // parallel to output, expr sort keys
 
@@ -455,8 +345,7 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
   // columns outside their aggregates. The scan then returns per-group
   // partial AggStates per range segment instead of rows.
   bool fragment_done = false;
-  if (pushdown_enabled_ && stmt.joins.empty() && any_agg &&
-      plan.unhandled.empty()) {
+  if (plan.pushdown && stmt.joins.empty() && plan.any_agg && scan.unhandled.empty()) {
     bool pushable = true;
     std::vector<uint32_t> group_ids;
     std::vector<int> group_cols;
@@ -490,7 +379,7 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
       }
     }
     if (pushable) {
-      for (const Expr* e : item_exprs) {
+      for (const Expr* e : plan.items) {
         if (!NonAggRefsCovered(e, positions, group_positions)) {
           pushable = false;
           break;
@@ -498,13 +387,13 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
       }
     }
     if (pushable) {
-      PushdownSpec spec = MakeFilterSpec(plan, nullptr, desc);
+      PushdownSpec spec = MakeFilterSpec(scan, nullptr, desc);
       spec.group_by = group_ids;
       spec.aggregates = std::move(push_aggs);
       Reader reader{nullptr, connector_};
       std::vector<kv::MvccScanEntry> entries;
       VELOCE_RETURN_IF_ERROR(
-          reader.Scan(plan.start, plan.end, 0, &entries, spec.Encode()));
+          reader.Scan(scan.start, scan.end, 0, &entries, spec.Encode()));
       rows_scanned_ += entries.size();
 
       // Merge per-segment partial states; the map over encoded group keys
@@ -544,16 +433,7 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
         for (size_t i = 0; i < group_cols.size(); ++i) {
           rep[static_cast<size_t>(group_cols[i])] = group.values[i];
         }
-        std::map<const Expr*, Datum> agg_values;
-        for (size_t i = 0; i < agg_nodes.size(); ++i) {
-          agg_values[agg_nodes[i]] = group.states[i].Result(agg_nodes[i]->agg);
-        }
-        EvalContext ctx{&bindings, &rep, params, &agg_values};
-        Row out_row;
-        for (const Expr* e : item_exprs) {
-          VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*e, ctx));
-          out_row.push_back(std::move(v));
-        }
+        VELOCE_ASSIGN_OR_RETURN(Row out_row, plan.GroupRow(rep, group.states.data()));
         output.push_back(std::move(out_row));
       }
       fragment_done = true;
@@ -562,87 +442,65 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
 
   // ---- execute: scan -> batches --------------------------------------------
   if (!fragment_done) {
-    // Projection push-down input: same condition — and therefore the same
-    // scan request bytes — as the row engine.
-    std::vector<uint32_t> needed;
-    const std::vector<uint32_t>* needed_ptr = nullptr;
-    if (pushdown_enabled_ && stmt.joins.empty() && !stmt.items.empty() &&
-        CollectNeededColumns(stmt, desc, &needed)) {
-      needed_ptr = &needed;
-    }
-    std::string spec_bytes;
-    if (pushdown_enabled_) {
-      PushdownSpec spec = MakeFilterSpec(plan, needed_ptr, desc);
-      if (!spec.empty()) spec_bytes = spec.Encode();
-    }
+    // The plan's filter spec: the same scan request bytes as the row engine.
     Reader reader{nullptr, connector_};
     std::vector<kv::MvccScanEntry> entries;
     VELOCE_RETURN_IF_ERROR(
-        reader.Scan(plan.start, plan.end, 0, &entries, spec_bytes));
+        reader.Scan(scan.start, scan.end, 0, &entries, plan.filter_spec));
     rows_scanned_ += entries.size();
 
     // Late materialization: every column the query can read was bound into
     // `positions` at plan time; everything else decodes as a NULL
     // placeholder. (Join equi columns on the build side are resolved by
     // column id, not through `positions` — added below.)
-    size_t total_width = 0;
-    std::vector<size_t> binding_offsets;
-    for (const Binding& b : bindings) {
-      binding_offsets.push_back(total_width);
-      total_width += b.desc.columns.size();
-    }
-    std::vector<uint8_t> needed_mask(total_width, 0);
+    std::vector<uint8_t> needed_mask(
+        bindings.back().offset + bindings.back().desc.columns.size(), 0);
     for (const auto& [expr, p] : positions) {
       needed_mask[static_cast<size_t>(p)] = 1;
     }
-    for (size_t j = 0; j < join_plans.size(); ++j) {
-      const TableDescriptor& right = join_plans[j].binding.desc;
-      for (const auto& pair : join_plans[j].equis) {
-        const int ci = right.ColumnIndex(pair.right_col_id);
-        needed_mask[binding_offsets[j + 1] + static_cast<size_t>(ci)] = 1;
+    for (size_t j = 0; j < plan.joins.size(); ++j) {
+      const Binding& right = bindings[j + 1];
+      for (const auto& pair : plan.joins[j].equis) {
+        const int ci = right.desc.ColumnIndex(pair.right_col_id);
+        needed_mask[right.offset + static_cast<size_t>(ci)] = 1;
       }
     }
-    auto mask_for = [&](size_t binding_idx) {
-      const size_t off = binding_offsets[binding_idx];
-      const size_t width = bindings[binding_idx].desc.columns.size();
-      return std::vector<uint8_t>(needed_mask.begin() + off,
-                                  needed_mask.begin() + off + width);
+    auto mask_for = [&](const Binding& b) {
+      const auto first = needed_mask.begin() + static_cast<std::ptrdiff_t>(b.offset);
+      return std::vector<uint8_t>(first, first + static_cast<std::ptrdiff_t>(
+                                                     b.desc.columns.size()));
     };
 
+    // Decodes one table's scan entries into batches. NotSupported (stored
+    // kind != schema type) propagates: the row engine decodes
+    // heterogeneous rows datum-by-datum.
+    auto decode = [&](const Binding& b, std::vector<kv::MvccScanEntry>* in,
+                      std::vector<ColumnBatch>* out) -> StatusOr<std::vector<TypeKind>> {
+      BatchDecoder decoder(b.desc, mask_for(b));
+      for (size_t pos = 0; pos < in->size();) {
+        ColumnBatch batch;
+        VELOCE_RETURN_IF_ERROR(decoder.NextBatch(in, &pos, &batch));
+        if (batch.rows == 0) break;
+        ++batches_;
+        out->push_back(std::move(batch));
+      }
+      return decoder.column_types();
+    };
     std::vector<ColumnBatch> batches;
+    VELOCE_ASSIGN_OR_RETURN(std::vector<TypeKind> cur_types,
+                            decode(bindings[0], &entries, &batches));
     std::vector<SelVector> sels;
-    BatchDecoder decoder(desc, mask_for(0));
-    size_t pos = 0;
-    while (pos < entries.size()) {
-      ColumnBatch batch;
-      // NotSupported (stored kind != schema type) propagates: the row
-      // engine decodes heterogeneous rows datum-by-datum.
-      VELOCE_RETURN_IF_ERROR(decoder.NextBatch(&entries, &pos, &batch));
-      if (batch.rows == 0) break;
-      ++batches_;
-      sels.push_back(FullSel(batch.rows));
-      batches.push_back(std::move(batch));
-    }
-    std::vector<TypeKind> cur_types = decoder.column_types();
+    for (const ColumnBatch& batch : batches) sels.push_back(FullSel(batch.rows));
 
     // ---- execute: hash joins ----------------------------------------------
-    for (const JoinPlan& jp : join_plans) {
-      const TableDescriptor& right = jp.binding.desc;
-      const ScanConstraints rplan =
-          BuildScanConstraints(right, jp.binding.alias, nullptr, params);
+    for (size_t j = 0; j < plan.joins.size(); ++j) {
+      const JoinPlan& jp = plan.joins[j];
+      const TableDescriptor& right = bindings[j + 1].desc;
       std::vector<kv::MvccScanEntry> rentries;
-      VELOCE_RETURN_IF_ERROR(reader.Scan(rplan.start, rplan.end, 0, &rentries));
+      VELOCE_RETURN_IF_ERROR(reader.Scan(jp.scan.start, jp.scan.end, 0, &rentries));
       rows_scanned_ += rentries.size();
-      BatchDecoder rdecoder(right, mask_for(&jp - join_plans.data() + 1));
       std::vector<ColumnBatch> right_batches;
-      size_t rpos = 0;
-      while (rpos < rentries.size()) {
-        ColumnBatch b;
-        VELOCE_RETURN_IF_ERROR(rdecoder.NextBatch(&rentries, &rpos, &b));
-        if (b.rows == 0) break;
-        ++batches_;
-        right_batches.push_back(std::move(b));
-      }
+      VELOCE_RETURN_IF_ERROR(decode(bindings[j + 1], &rentries, &right_batches).status());
 
       // Build side: encoded equi-column values -> row locators, insertion
       // order preserved per key (matches the row engine's multimap).
@@ -657,6 +515,8 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
       using Locators = std::vector<std::pair<uint32_t, uint32_t>>;
       std::unordered_map<PackedKey, Locators, PackedKeyHash> packed_table;
       std::unordered_map<std::string, Locators> hash_table;
+      PackedKey packed;
+      std::string key;
       for (uint32_t bi = 0; bi < right_batches.size(); ++bi) {
         const ColumnBatch& rb = right_batches[bi];
         std::vector<Vec> rvecs(right_cols.size());
@@ -664,24 +524,10 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
           rvecs[k].ref = &rb.cols[static_cast<size_t>(right_cols[k])];
         }
         for (uint32_t ri = 0; ri < rb.rows; ++ri) {
-          uint64_t kb[2] = {0, 0};
-          uint32_t used = 0;
-          bool fits = true;
-          for (const Vec& rv : rvecs) {
-            if (!AppendPackedKeyAt(rv, ri, reinterpret_cast<unsigned char*>(kb),
-                                   &used)) {
-              fits = false;
-              break;
-            }
-          }
-          if (fits) {
-            packed_table[PackedKey{kb[0], kb[1], used}].push_back({bi, ri});
+          if (KeyAt(rvecs, ri, &packed, &key)) {
+            packed_table[packed].push_back({bi, ri});
           } else {
-            std::string key;
-            for (int c : right_cols) {
-              rb.cols[static_cast<size_t>(c)].AppendHashKeyAt(ri, &key);
-            }
-            hash_table[std::move(key)].push_back({bi, ri});
+            hash_table[key].push_back({bi, ri});
           }
         }
       }
@@ -712,7 +558,6 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
           VELOCE_RETURN_IF_ERROR(
               EvalVec(*jp.equis[k].left_expr, ctx, lsel, &keys[k]));
         }
-        std::string key;
         for (uint32_t li : lsel) {
           bool null_key = false;
           for (const Vec& kvec : keys) {
@@ -722,23 +567,11 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
             }
           }
           if (null_key) continue;
-          uint64_t kb[2] = {0, 0};
-          uint32_t used = 0;
-          bool fits = true;
-          for (const Vec& kvec : keys) {
-            if (!AppendPackedKeyAt(kvec, li, reinterpret_cast<unsigned char*>(kb),
-                                   &used)) {
-              fits = false;
-              break;
-            }
-          }
           const Locators* matches = nullptr;
-          if (fits) {
-            auto it = packed_table.find(PackedKey{kb[0], kb[1], used});
+          if (KeyAt(keys, li, &packed, &key)) {
+            auto it = packed_table.find(packed);
             if (it != packed_table.end()) matches = &it->second;
           } else {
-            key.clear();
-            for (const Vec& kvec : keys) kvec.AppendHashKeyAt(li, &key);
             auto it = hash_table.find(key);
             if (it != hash_table.end()) matches = &it->second;
           }
@@ -782,7 +615,7 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
     }
 
     // ---- execute: aggregation / projection ---------------------------------
-    if (any_agg) {
+    if (plan.any_agg) {
       const size_t stride = agg_nodes.size();
       // Flat SoA group storage: representatives (first input row, read by
       // output expressions outside aggregates, like the row engine), the
@@ -793,6 +626,7 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
       std::vector<AggState> states;
       std::unordered_map<PackedKey, uint32_t, PackedKeyHash> packed_ids;
       std::unordered_map<std::string, uint32_t> group_ids;  // oversized keys
+      PackedKey packed;
       std::string key;
       std::vector<uint32_t> gidx;  // per selected row: its group index
       for (size_t bi = 0; bi < batches.size(); ++bi) {
@@ -830,26 +664,13 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
           states.resize(states.size() + stride);
         };
         for (uint32_t i : sel) {
-          uint64_t kb[2] = {0, 0};
-          uint32_t used = 0;
-          bool fits = true;
-          for (const Vec& gv : group_vecs) {
-            if (!AppendPackedKeyAt(gv, i, reinterpret_cast<unsigned char*>(kb),
-                                   &used)) {
-              fits = false;
-              break;
-            }
-          }
           uint32_t g;
-          if (fits) {
-            const PackedKey pk{kb[0], kb[1], used};
+          if (KeyAt(group_vecs, i, &packed, &key)) {
             auto [it, inserted] = packed_ids.try_emplace(
-                pk, static_cast<uint32_t>(group_reps.size()));
+                packed, static_cast<uint32_t>(group_reps.size()));
             if (inserted) new_group(i);
             g = it->second;
           } else {
-            key.clear();
-            for (const Vec& gv : group_vecs) gv.AppendHashKeyAt(i, &key);
             auto [it, inserted] = group_ids.try_emplace(
                 key, static_cast<uint32_t>(group_reps.size()));
             if (inserted) new_group(i);
@@ -885,17 +706,8 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
                   return group_keys[x] < group_keys[y];
                 });
       for (uint32_t g : group_order) {
-        std::map<const Expr*, Datum> agg_values;
-        for (size_t a = 0; a < agg_nodes.size(); ++a) {
-          agg_values[agg_nodes[a]] =
-              states[g * stride + a].Result(agg_nodes[a]->agg);
-        }
-        EvalContext ctx{&bindings, &group_reps[g], params, &agg_values};
-        Row out_row;
-        for (const Expr* e : item_exprs) {
-          VELOCE_ASSIGN_OR_RETURN(Datum v, Eval(*e, ctx));
-          out_row.push_back(std::move(v));
-        }
+        VELOCE_ASSIGN_OR_RETURN(Row out_row,
+                                plan.GroupRow(group_reps[g], states.data() + g * stride));
         output.push_back(std::move(out_row));
       }
     } else {
@@ -904,17 +716,15 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
         const SelVector& sel = sels[bi];
         if (sel.empty()) continue;
         VecEvalCtx ctx{&batch, params, &positions};
-        std::vector<Vec> item_vecs(item_exprs.size());
-        for (size_t k = 0; k < item_exprs.size(); ++k) {
-          VELOCE_RETURN_IF_ERROR(EvalVec(*item_exprs[k], ctx, sel, &item_vecs[k]));
+        std::vector<Vec> item_vecs(plan.items.size());
+        for (size_t k = 0; k < plan.items.size(); ++k) {
+          VELOCE_RETURN_IF_ERROR(EvalVec(*plan.items[k], ctx, sel, &item_vecs[k]));
         }
+        const std::vector<SortKey>& sort_keys = plan.sort_keys;
         std::vector<Vec> key_vecs(sort_keys.size());
-        if (needs_input_keys) {
-          for (size_t k = 0; k < sort_keys.size(); ++k) {
-            if (sort_keys[k].expr != nullptr) {
-              VELOCE_RETURN_IF_ERROR(
-                  EvalVec(*sort_keys[k].expr, ctx, sel, &key_vecs[k]));
-            }
+        for (size_t k = 0; plan.needs_input_keys && k < sort_keys.size(); ++k) {
+          if (sort_keys[k].expr != nullptr) {
+            VELOCE_RETURN_IF_ERROR(EvalVec(*sort_keys[k].expr, ctx, sel, &key_vecs[k]));
           }
         }
         for (uint32_t i : sel) {
@@ -922,47 +732,20 @@ StatusOr<ResultSet> VecExecutor::ExecSelect(const SelectStmt& stmt,
           out_row.reserve(item_vecs.size());
           for (const Vec& v : item_vecs) out_row.push_back(v.DatumAt(i));
           output.push_back(std::move(out_row));
-          if (needs_input_keys) {
-            Row keys;
-            keys.reserve(sort_keys.size());
-            for (size_t k = 0; k < sort_keys.size(); ++k) {
-              keys.push_back(sort_keys[k].expr == nullptr
-                                 ? Datum::Null()
-                                 : key_vecs[k].DatumAt(i));
-            }
-            input_sort_values.push_back(std::move(keys));
+          if (!plan.needs_input_keys) continue;
+          Row keys;
+          keys.reserve(sort_keys.size());
+          for (size_t k = 0; k < sort_keys.size(); ++k) {
+            keys.push_back(sort_keys[k].expr == nullptr ? Datum::Null()
+                                                        : key_vecs[k].DatumAt(i));
           }
+          input_sort_values.push_back(std::move(keys));
         }
       }
     }
   }
 
-  // ---- ORDER BY / LIMIT (identical to the row engine) ----------------------
-  if (!sort_keys.empty()) {
-    std::vector<size_t> order(output.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < sort_keys.size(); ++k) {
-        const SortKey& key = sort_keys[k];
-        const Datum& va = key.output_idx >= 0
-                              ? output[a][static_cast<size_t>(key.output_idx)]
-                              : input_sort_values[a][k];
-        const Datum& vb = key.output_idx >= 0
-                              ? output[b][static_cast<size_t>(key.output_idx)]
-                              : input_sort_values[b][k];
-        const int c = va.Compare(vb);
-        if (c != 0) return key.desc ? c > 0 : c < 0;
-      }
-      return false;
-    });
-    std::vector<Row> sorted;
-    sorted.reserve(output.size());
-    for (size_t idx : order) sorted.push_back(std::move(output[idx]));
-    output = std::move(sorted);
-  }
-  if (stmt.limit >= 0 && output.size() > static_cast<size_t>(stmt.limit)) {
-    output.resize(static_cast<size_t>(stmt.limit));
-  }
+  plan.SortAndLimit(&output, input_sort_values);
   result.rows = std::move(output);
   return result;
 }

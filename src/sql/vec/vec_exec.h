@@ -4,12 +4,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "sql/ast.h"
-#include "sql/catalog.h"
 #include "sql/executor.h"
 #include "sql/kv_connector.h"
+#include "sql/select_plan.h"
 
 namespace veloce::sql::vec {
+
+/// OK when the vectorized engine covers `plan`; otherwise NotSupported
+/// naming the first shape it leaves to the row engine: a table-less
+/// SELECT, a point lookup, a secondary-index scan, a join without equi
+/// columns, an index join, or an aggregate anywhere but the select list.
+/// The dispatcher asks once per statement.
+Status Covers(const SelectPlan& plan);
 
 /// The vectorized (columnar, batch-at-a-time) SELECT engine: MVCC scan
 /// entries decode directly into typed ColumnBatches, expressions evaluate
@@ -21,20 +27,16 @@ namespace veloce::sql::vec {
 /// tests/sql_vec_test.cc enforces it.
 class VecExecutor {
  public:
-  VecExecutor(Catalog* catalog, KvConnector* connector, bool pushdown_enabled)
-      : catalog_(catalog),
-        connector_(connector),
-        pushdown_enabled_(pushdown_enabled) {}
+  explicit VecExecutor(KvConnector* connector) : connector_(connector) {}
 
-  /// Plans and executes a non-transactional SELECT. NotSupported means
-  /// "not covered by this engine" — the dispatcher re-runs the statement
-  /// on the row engine (which also reproduces exact error messages for
-  /// statements this engine declines at plan time). Any other status is
-  /// final: for covered statements both engines return the same rows, and
-  /// runtime errors carry the same status code (messages may differ when
-  /// batch evaluation surfaces a different failing row first).
-  StatusOr<ResultSet> ExecSelect(const SelectStmt& stmt,
-                                 const std::vector<Datum>* params);
+  /// Executes a non-transactional SELECT whose plan Covers() accepts.
+  /// NotSupported (a stored kind that does not match the schema type)
+  /// means "re-run on the row engine", which decodes such rows datum by
+  /// datum. Any other status is final: for covered statements both engines
+  /// return the same rows, and runtime errors carry the same status code
+  /// (messages may differ when batch evaluation surfaces a different
+  /// failing row first).
+  StatusOr<ResultSet> ExecSelect(const SelectPlan& plan);
 
   /// Rows (or, for pushed aggregation fragments, partial-aggregate rows)
   /// received from the KV layer.
@@ -43,9 +45,7 @@ class VecExecutor {
   uint64_t batches() const { return batches_; }
 
  private:
-  Catalog* catalog_;
   KvConnector* connector_;
-  bool pushdown_enabled_;
   uint64_t rows_scanned_ = 0;
   uint64_t batches_ = 0;
 };

@@ -208,10 +208,14 @@ Status EvalArithVec(BinOp op, const Vec& l, const Vec& r, const SelVector& sel,
     }
     return Status::OK();
   }
+  // A constant operand converts once, not per row.
+  const double lc = l.is_const ? l.const_val.AsDouble() : 0;
+  const double rc = r.is_const ? r.const_val.AsDouble() : 0;
   ColumnVector* res = out->MakeOwned(TypeKind::kDouble, n);
   for (uint32_t i : sel) {
     if (l.IsNullAt(i) || r.IsNullAt(i)) continue;
-    const double a = l.AsDoubleAt(i), b = r.AsDoubleAt(i);
+    const double a = l.is_const ? lc : l.col()->AsDoubleAt(i);
+    const double b = r.is_const ? rc : r.col()->AsDoubleAt(i);
     switch (op) {
       case BinOp::kAdd: res->SetDouble(i, a + b); break;
       case BinOp::kSub: res->SetDouble(i, a - b); break;

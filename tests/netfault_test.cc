@@ -439,6 +439,32 @@ TEST(CatchUpTest, DestroyTenantSkipsNodeWithFailedRestart) {
   }
 }
 
+/// A finished replica move clears the range's span from the node it left:
+/// nothing reads or catches up that copy any more.
+TEST(CatchUpTest, FinishedMoveClearsTheOutgoingReplica) {
+  ManualClock clock(100 * kSecond);
+  auto cluster = MakeCluster(&clock, nullptr);
+  auto added = cluster->AddNode();
+  ASSERT_TRUE(added.ok());
+  ASSERT_EQ(*added, 3u);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(PutKV(cluster.get(), "k" + std::to_string(i), "v").ok());
+  }
+  const RangeDescriptor desc = TenantRange(cluster.get(), "k0");
+  const NodeId from = desc.replicas[1];
+  ASSERT_EQ(RangeSpan(cluster->node(from)->engine(), desc).size(), 20u);
+
+  ASSERT_TRUE(cluster->MoveReplica(desc.range_id, from, *added).ok());
+  EXPECT_EQ(RangeSpan(cluster->node(from)->engine(), desc).size(), 0u);
+  const RangeDescriptor after = TenantRange(cluster.get(), "k0");
+  EXPECT_FALSE(after.HasReplica(from));
+  EXPECT_EQ(RangeSpan(cluster->node(*added)->engine(), after).size(), 20u);
+  ExpectReplicasConverged(cluster.get());
+  auto read = GetKV(cluster.get(), "k7");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->responses[0].value, "v");
+}
+
 // ---------------------------------------------------------------------------
 // Lease/replica handoff safety: only caught-up replicas take over
 // ---------------------------------------------------------------------------

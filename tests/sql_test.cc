@@ -703,6 +703,23 @@ TEST_F(SqlEndToEndTest, SerializeRequiresIdleSession) {
   EXPECT_TRUE(session_->Serialize(1).ok());
 }
 
+TEST_F(SqlEndToEndTest, RestoredSessionKeepsItsEngineSetting) {
+  Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Exec("INSERT INTO t VALUES (1, 42), (2, 7)");
+  Exec("SET vectorize = off");
+  const std::string blob = *session_->Serialize(7);
+  Session* restored = *node_->RestoreSession(blob, 7);
+  // A full-scan aggregate: the vectorized engine covers it, but the
+  // restored setting keeps it on the row engine.
+  auto rs = restored->Execute("SELECT SUM(v) FROM t");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows[0][0].int_value(), 49);
+  EXPECT_EQ(restored->last_select_engine(), "row");
+  Session* fresh = *node_->NewSession();
+  ASSERT_TRUE(fresh->Execute("SELECT SUM(v) FROM t").ok());
+  EXPECT_EQ(fresh->last_select_engine(), "vectorized");
+}
+
 TEST_F(SqlEndToEndTest, DropTable) {
   Exec("CREATE TABLE temp (id INT PRIMARY KEY)");
   Exec("INSERT INTO temp VALUES (1)");

@@ -221,6 +221,34 @@ TEST_F(SqlVecEdgeTest, ForceVectorizeErrorsOnUncoveredShapes) {
   EXPECT_TRUE(forced.ok());
 }
 
+TEST_F(SqlVecEdgeTest, EachSelectIsPlannedOnce) {
+  // One descriptor lookup per statement: the dispatcher plans once, and the
+  // engine that runs the statement reuses that plan.
+  Catalog* catalog = node_->catalog();
+  uint64_t hits = catalog->cache_hits();
+  Exec("SELECT * FROM t WHERE id = 3");  // point lookup: the row engine
+  EXPECT_EQ(catalog->cache_hits(), hits + 1);
+  EXPECT_EQ(session_->last_select_engine(), "row");
+  hits = catalog->cache_hits();
+  Exec("SELECT SUM(a) FROM t");  // full scan: the vectorized engine
+  EXPECT_EQ(catalog->cache_hits(), hits + 1);
+  EXPECT_EQ(session_->last_select_engine(), "vectorized");
+}
+
+TEST_F(SqlVecEdgeTest, ForceVectorizeReturnsPlanErrors) {
+  // An invalid statement fails in the shared plan, before either engine
+  // runs, with its own error on every engine setting.
+  for (const char* setting : {"off", "on", "force"}) {
+    Exec(std::string("SET vectorize = ") + setting);
+    auto result = session_->Execute("SELECT nope FROM t");
+    EXPECT_TRUE(result.status().IsNotFound()) << setting << ": "
+                                              << result.status().ToString();
+    result = session_->Execute("SELECT SUM(a) FROM t ORDER BY 2");
+    EXPECT_EQ(result.status().code(), Code::kInvalidArgument) << setting;
+  }
+  Exec("SET vectorize = on");
+}
+
 TEST_F(SqlVecEdgeTest, EngineAndScanMetrics) {
   const double vec0 = Metric("veloce_sql_exec_engine_total",
                              {{"engine", "vectorized"}});

@@ -810,6 +810,31 @@ TEST_F(TxnPathTest, RefreshOutsideItsTenantIsUnauthorized) {
       << "write pushed to " << resp->bumped_write_ts.ToString();
 }
 
+TEST_F(TxnPathTest, ScanResolvesTheIntentItMeets) {
+  // A committed txn whose intent on c was never resolved: a scan over a..z
+  // meets it, and must resolve it at c, where it lies, to read past it.
+  const TxnRecord rec = cluster_->BeginTxn();
+  BatchRequest put;
+  put.tenant_id = 10;
+  put.ts = rec.read_ts;
+  put.txn_id = rec.id;
+  put.txn_priority = rec.priority;
+  put.AddPut(Key("c"), "vc");
+  ASSERT_TRUE(cluster_->Send(put).ok());
+  Timestamp commit_ts;
+  ASSERT_TRUE(cluster_->CommitTxn(rec.id, {}, &commit_ts).ok());
+
+  BatchRequest scan;
+  scan.tenant_id = 10;
+  scan.ts = cluster_->Now();
+  scan.AddScan(Key("a"), Key("z"), 0);
+  auto resp = cluster_->Send(scan);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->responses[0].rows.size(), 1u);
+  EXPECT_EQ(resp->responses[0].rows[0].key, Key("c"));
+  EXPECT_EQ(resp->responses[0].rows[0].value, "vc");
+}
+
 TEST_F(TxnPathTest, RefreshFailsOnForeignIntentBelowItsTarget) {
   // T reads j; U (begun later, classic: its intent is laid at once) writes
   // j above T's read. A non-txn read of k pushes T's write of k, so T must
