@@ -7,7 +7,7 @@
 //   legacy — the pre-fast-path read: a full engine iterator seeked to the
 //            key, merging every table regardless of relevance
 // across {uniform, zipfian} key distributions and {cold, warm} block cache
-// regimes, with blooms on and off (bloom=off writes legacy v1 tables).
+// regimes.
 //
 // Emits BENCH_point_lookup.json (scenario::BenchReport schema) with
 // ops/sec per configuration plus the engine's bloom/pruning counters, and
@@ -46,11 +46,10 @@ std::string KeyAt(uint64_t i) {
 /// Loads kNumKeys MVCC rows in shuffled order with a tiny memtable, leaving
 /// many overlapping L0 tables — the layout where an unpruned merge is most
 /// expensive and filters help most.
-std::unique_ptr<storage::Engine> MakeEngine(bool bloom, bool warm_cache) {
+std::unique_ptr<storage::Engine> MakeEngine(bool warm_cache) {
   storage::EngineOptions opts;
   opts.memtable_bytes = 128 << 10;
   opts.l0_compaction_trigger = 1000;  // keep every flushed table in L0
-  opts.bloom_filters = bloom;
   opts.prefix_extractor = kv::MvccPrefixExtractor;
   // Cold regime: a one-block cache, so essentially every read goes to the
   // Env. Warm regime: everything fits.
@@ -118,7 +117,6 @@ RunResult RunLookups(storage::Engine* engine, LookupFn&& lookup,
 
 struct ConfigResult {
   std::string mode, dist, cache;
-  bool bloom;
   RunResult run;
   storage::EngineStats stats;
 };
@@ -130,75 +128,65 @@ int main() {
   using namespace veloce;
 
   std::vector<ConfigResult> results;
-  double fast_uniform_cold_bloom = 0;
-  double legacy_uniform_cold_bloom = 0;
+  double fast_uniform_cold = 0;
+  double legacy_uniform_cold = 0;
 
-  for (const bool bloom : {true, false}) {
-    for (const bool warm : {false, true}) {
-      auto engine = MakeEngine(bloom, warm);
-      std::printf("layout: bloom=%s cache=%s l0_files=%d\n",
-                  bloom ? "on" : "off", warm ? "warm" : "cold",
-                  engine->NumFilesAtLevel(0));
-      if (warm) {
-        // Pre-touch every key so the working set is resident.
-        for (int i = 0; i < kNumKeys; ++i) {
-          (void)FastLookup(engine.get(), KeyAt(i));
-        }
+  for (const bool warm : {false, true}) {
+    auto engine = MakeEngine(warm);
+    std::printf("layout: cache=%s l0_files=%d\n", warm ? "warm" : "cold",
+                engine->NumFilesAtLevel(0));
+    if (warm) {
+      // Pre-touch every key so the working set is resident.
+      for (int i = 0; i < kNumKeys; ++i) {
+        (void)FastLookup(engine.get(), KeyAt(i));
       }
-      for (const char* mode : {"fast", "legacy"}) {
-        for (const char* dist : {"uniform", "zipfian"}) {
-          Random uniform_rng(7);
-          ZipfianGenerator zipf(kNumKeys, 0.99, 7);
-          auto next_key = [&]() -> uint64_t {
-            if (std::string(dist) == "uniform") {
-              return uniform_rng.Uniform(kNumKeys);
-            }
-            const uint64_t z = zipf.Next();  // YCSB formula can round to n
-            return z < kNumKeys ? z : kNumKeys - 1;
-          };
-          RunResult run;
-          if (std::string(mode) == "fast") {
-            run = RunLookups(engine.get(), FastLookup, next_key);
-          } else {
-            run = RunLookups(engine.get(), LegacyLookup, next_key);
+    }
+    for (const char* mode : {"fast", "legacy"}) {
+      for (const char* dist : {"uniform", "zipfian"}) {
+        Random uniform_rng(7);
+        ZipfianGenerator zipf(kNumKeys, 0.99, 7);
+        auto next_key = [&]() -> uint64_t {
+          if (std::string(dist) == "uniform") {
+            return uniform_rng.Uniform(kNumKeys);
           }
-          VELOCE_CHECK(run.found == static_cast<uint64_t>(kNumLookups))
-              << mode << "/" << dist << " found only " << run.found;
-          ConfigResult cr{mode, dist, warm ? "warm" : "cold", bloom, run,
-                          engine->stats()};
-          std::printf("  %-6s %-7s %-4s bloom=%-3s : %10.0f ops/sec\n",
-                      cr.mode.c_str(), cr.dist.c_str(), cr.cache.c_str(),
-                      bloom ? "on" : "off", run.ops_per_sec);
-          if (bloom && !warm && cr.dist == "uniform") {
-            if (cr.mode == "fast") fast_uniform_cold_bloom = run.ops_per_sec;
-            if (cr.mode == "legacy") legacy_uniform_cold_bloom = run.ops_per_sec;
-          }
-          results.push_back(std::move(cr));
+          const uint64_t z = zipf.Next();  // YCSB formula can round to n
+          return z < kNumKeys ? z : kNumKeys - 1;
+        };
+        RunResult run;
+        if (std::string(mode) == "fast") {
+          run = RunLookups(engine.get(), FastLookup, next_key);
+        } else {
+          run = RunLookups(engine.get(), LegacyLookup, next_key);
         }
+        VELOCE_CHECK(run.found == static_cast<uint64_t>(kNumLookups))
+            << mode << "/" << dist << " found only " << run.found;
+        ConfigResult cr{mode, dist, warm ? "warm" : "cold", run, engine->stats()};
+        std::printf("  %-6s %-7s %-4s : %10.0f ops/sec\n", cr.mode.c_str(),
+                    cr.dist.c_str(), cr.cache.c_str(), run.ops_per_sec);
+        if (!warm && cr.dist == "uniform") {
+          if (cr.mode == "fast") fast_uniform_cold = run.ops_per_sec;
+          if (cr.mode == "legacy") legacy_uniform_cold = run.ops_per_sec;
+        }
+        results.push_back(std::move(cr));
       }
     }
   }
 
-  const double speedup = legacy_uniform_cold_bloom > 0
-                             ? fast_uniform_cold_bloom / legacy_uniform_cold_bloom
-                             : 0;
-  std::printf("\nuniform cold-cache speedup (fast vs legacy, bloom on): %.2fx\n",
-              speedup);
+  const double speedup =
+      legacy_uniform_cold > 0 ? fast_uniform_cold / legacy_uniform_cold : 0;
+  std::printf("\nuniform cold-cache speedup (fast vs legacy): %.2fx\n", speedup);
 
   scenario::BenchReport report("point_lookup");
   report.AddParam("num_keys", kNumKeys);
   report.AddParam("num_lookups", kNumLookups);
   report.AddMetric("uniform_cold_speedup", speedup);
   for (const auto& r : results) {
-    const std::string cfg = r.mode + "_" + r.dist + "_" + r.cache + "_bloom_" +
-                            (r.bloom ? "on" : "off");
-    report.AddMetric("ops_per_sec__" + cfg, r.run.ops_per_sec);
+    report.AddMetric("ops_per_sec__" + r.mode + "_" + r.dist + "_" + r.cache,
+                     r.run.ops_per_sec);
   }
-  // Filter effectiveness counters from the final (bloom-off warm) engine's
-  // predecessors are per-config; the headline bloom-on cold counters are the
-  // ones the read-path PR argued from.
+  // Filter and pruning counters of the headline configuration.
   for (const auto& r : results) {
-    if (r.bloom && r.cache == "cold" && r.mode == "fast" && r.dist == "uniform") {
+    if (r.cache == "cold" && r.mode == "fast" && r.dist == "uniform") {
       report.AddMetric("bloom_checked", r.stats.bloom_checked);
       report.AddMetric("bloom_useful", r.stats.bloom_useful);
       report.AddMetric("bloom_false_positive", r.stats.bloom_false_positive);

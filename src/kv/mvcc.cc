@@ -275,6 +275,7 @@ StatusOr<MvccGetResult> MvccGet(storage::Engine* engine, Slice user_key,
   it->SeekToFirst();
   KeyReadResult kr;
   VELOCE_RETURN_IF_ERROR(ReadKeyVersions(it.get(), prefix, ts, own_txn, &kr));
+  VELOCE_RETURN_IF_ERROR(it->status());
   MvccGetResult result;
   result.conflict = kr.conflict;
   if (kr.has_value) result.value = std::move(kr.value);
@@ -318,6 +319,7 @@ StatusOr<MvccScanResult> MvccScan(storage::Engine* engine, Slice start_key,
     }
     SkipKey(it.get(), escaped);
   }
+  VELOCE_RETURN_IF_ERROR(it->status());  // a read error, not the span's end
   return result;
 }
 
@@ -387,6 +389,7 @@ StatusOr<bool> MvccAnyNewerVersions(storage::Engine* engine, Slice start,
     }
     it->Next();  // a version above `upto`
   }
+  VELOCE_RETURN_IF_ERROR(it->status());
   return false;
 }
 
@@ -426,6 +429,7 @@ StatusOr<uint64_t> MvccGarbageCollect(storage::Engine* engine, Slice start,
     batch.Delete(it->key());
     ++removed;
   }
+  VELOCE_RETURN_IF_ERROR(it->status());
   if (batch.Count() > 0) {
     VELOCE_RETURN_IF_ERROR(engine->Write(batch));
   }

@@ -247,6 +247,7 @@ StatusOr<int> KVCluster::MaybeSplitRanges() {
         break;
       }
     }
+    VELOCE_RETURN_IF_ERROR(it->status());
     if (mid_key.empty()) continue;
     VELOCE_RETURN_IF_ERROR(directory_.Split(mid_key, SplitReason::kSize));
     ++splits;

@@ -16,6 +16,7 @@ StatusOr<bool> ClearSpanChunk(storage::Engine* dst, std::string* cursor, Slice e
     last = it->key().ToString();
     del.Delete(it->key());
   }
+  VELOCE_RETURN_IF_ERROR(it->status());
   if (del.Count() == 0) return false;
   VELOCE_RETURN_IF_ERROR(dst->Write(del));
   *cursor = last + '\0';
@@ -31,6 +32,8 @@ StatusOr<bool> CopySpanChunk(storage::Engine* src, storage::Engine* dst,
     last = it->key().ToString();
     batch.Put(it->key(), it->value());
   }
+  // A read error must not look like the end of the span.
+  VELOCE_RETURN_IF_ERROR(it->status());
   if (batch.Count() > 0) VELOCE_RETURN_IF_ERROR(dst->Write(batch));
   if (!it->Valid()) return true;
   *cursor = last + '\0';

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/slice.h"
+#include "common/status.h"
 
 namespace veloce::storage {
 
@@ -74,7 +75,9 @@ inline int CompareInternalKey(Slice a, Slice b) {
 }
 
 /// Iterator over internal keys. The standard LevelDB-shaped interface used
-/// by memtable, SSTable, and merging iterators.
+/// by memtable, SSTable, and merging iterators. An iterator that stops on a
+/// read or format error turns !Valid() and reports the error in status(), so
+/// "!Valid() with OK status" is the only end of data.
 class InternalIterator {
  public:
   virtual ~InternalIterator() = default;
@@ -86,6 +89,7 @@ class InternalIterator {
   virtual void Next() = 0;
   virtual Slice key() const = 0;    // internal key
   virtual Slice value() const = 0;
+  virtual Status status() const = 0;
 };
 
 }  // namespace veloce::storage

@@ -49,18 +49,12 @@ std::string Engine::WalFileName(uint64_t number) const {
 
 std::string Engine::ManifestFileName() const { return options_.dir + "/MANIFEST"; }
 
-namespace {
-TableOptions MakeTableOptions(const EngineOptions& options) {
-  return TableOptions{.block_size = options.block_bytes,
-                      .bloom_filter = options.bloom_filters,
-                      .bloom_bits_per_key = options.bloom_bits_per_key,
-                      .prefix_extractor = options.prefix_extractor};
-}
-}  // namespace
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)),
+      versions_(options_.l0_compaction_trigger, options_.level_base_bytes) {}
 
 StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
-  auto engine = std::unique_ptr<Engine>(new Engine());
-  engine->options_ = options;
+  auto engine = std::unique_ptr<Engine>(new Engine(options));
   if (options.env == nullptr) {
     engine->owned_env_ = NewMemEnv();
     engine->env_ = engine->owned_env_.get();
@@ -69,8 +63,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
   }
   VELOCE_RETURN_IF_ERROR(engine->env_->CreateDirIfMissing(options.dir));
   if (options.block_cache_bytes > 0) {
-    engine->block_cache_ = std::make_unique<BlockCache>(options.block_cache_bytes,
-                                                        options.block_cache_shards);
+    engine->block_cache_ = std::make_unique<BlockCache>(options.block_cache_bytes);
   }
   engine->options_.l0_stall_files =
       std::max(options.l0_stall_files, options.l0_compaction_trigger);
@@ -219,7 +212,7 @@ Status Engine::Recover() {
   }
   if (mem_->num_entries() > 0) {
     std::unique_lock<std::mutex> l(mu_);
-    VELOCE_RETURN_IF_ERROR(FlushMemTableLocked());
+    VELOCE_RETURN_IF_ERROR(FlushLocked(/*active=*/true, nullptr));
   }
   for (const auto& name : wals) {
     VELOCE_RETURN_IF_ERROR(env_->DeleteFile(options_.dir + "/" + name));
@@ -270,7 +263,7 @@ Status Engine::ReplayWal(const std::string& fname) {
 }
 
 Status Engine::NewWal() {
-  wal_number_ = next_file_number_.fetch_add(1, std::memory_order_relaxed);
+  wal_number_ = NewFileNumber();
   std::unique_ptr<WritableFile> file;
   VELOCE_RETURN_IF_ERROR(env_->NewWritableFile(WalFileName(wal_number_), &file));
   wal_ = std::make_unique<LogWriter>(std::move(file));
@@ -278,64 +271,22 @@ Status Engine::NewWal() {
 }
 
 Status Engine::WriteManifest() {
-  std::string out;
-  PutFixed64(&out, next_file_number_.load(std::memory_order_relaxed));
-  PutFixed64(&out, last_seq_.load(std::memory_order_relaxed));
-  uint32_t num_files = 0;
-  for (int level = 0; level < kNumLevels; ++level) {
-    num_files += static_cast<uint32_t>(levels_[level].size());
-  }
-  PutFixed32(&out, num_files);
-  for (int level = 0; level < kNumLevels; ++level) {
-    for (const auto& f : levels_[level]) {
-      PutFixed32(&out, static_cast<uint32_t>(level));
-      PutFixed64(&out, f->number);
-      PutFixed64(&out, f->file_size);
-      PutLengthPrefixed(&out, Slice(f->smallest));
-      PutLengthPrefixed(&out, Slice(f->largest));
-    }
-  }
-  return env_->WriteStringToFile(ManifestFileName(), Slice(out));
+  return env_->WriteStringToFile(
+      ManifestFileName(),
+      Slice(versions_.EncodeManifest(next_file_number_.load(std::memory_order_relaxed),
+                                     last_seq_.load(std::memory_order_relaxed))));
 }
 
 Status Engine::LoadManifest() {
   std::string contents;
   VELOCE_RETURN_IF_ERROR(env_->ReadFileToString(ManifestFileName(), &contents));
-  Slice in(contents);
-  uint32_t num_files = 0;
-  uint64_t next_file = 0, last_seq = 0;
-  if (!GetFixed64(&in, &next_file) || !GetFixed64(&in, &last_seq) ||
-      !GetFixed32(&in, &num_files)) {
-    return Status::Corruption("bad manifest header");
-  }
+  uint64_t next_file = 0;
+  SequenceNumber last_seq = 0;
+  VELOCE_RETURN_IF_ERROR(versions_.LoadManifest(
+      Slice(contents), &next_file, &last_seq,
+      [this](FileMeta* meta) { return OpenTable(meta); }));
   next_file_number_.store(next_file, std::memory_order_relaxed);
   last_seq_.store(last_seq, std::memory_order_relaxed);
-  for (uint32_t i = 0; i < num_files; ++i) {
-    uint32_t level = 0;
-    auto meta = std::make_shared<FileMeta>();
-    Slice smallest, largest;
-    if (!GetFixed32(&in, &level) || !GetFixed64(&in, &meta->number) ||
-        !GetFixed64(&in, &meta->file_size) || !GetLengthPrefixed(&in, &smallest) ||
-        !GetLengthPrefixed(&in, &largest) || level >= kNumLevels) {
-      return Status::Corruption("bad manifest entry");
-    }
-    meta->smallest = smallest.ToString();
-    meta->largest = largest.ToString();
-    std::unique_ptr<RandomAccessFile> file;
-    VELOCE_RETURN_IF_ERROR(env_->NewRandomAccessFile(TableFileName(meta->number), &file));
-    VELOCE_ASSIGN_OR_RETURN(meta->table,
-                            Table::Open(std::move(file), block_cache_.get(), meta->number));
-    levels_[level].push_back(std::move(meta));
-  }
-  // L0 must be newest-first (higher file number = newer flush).
-  std::sort(levels_[0].begin(), levels_[0].end(),
-            [](const auto& a, const auto& b) { return a->number > b->number; });
-  for (int level = 1; level < kNumLevels; ++level) {
-    std::sort(levels_[level].begin(), levels_[level].end(),
-              [](const auto& a, const auto& b) {
-                return Slice(a->smallest) < Slice(b->smallest);
-              });
-  }
   return Status::OK();
 }
 
@@ -421,18 +372,10 @@ Status Engine::Resume() {
   std::unique_lock<std::mutex> l(mu_);
   if (bg_error_.ok()) return Status::OK();
   // Degraded mode schedules no new work, but an in-flight task may still be
-  // winding down; quiesce before re-driving the backlog ourselves.
-  while (!writers_.empty() || bg_scheduled_) {
-    WaitWritersIdleLocked(l);
-    WaitBackgroundIdleLocked(l);
-  }
-  // Retry the work that failed. If the fault has not cleared, stay degraded
-  // (with the fresh cause) so reads keep working and Resume() can be tried
-  // again later.
-  Status s;
-  while (s.ok() && !imm_.empty()) {
-    s = FlushOldestImm(l, /*unlock=*/false);
-  }
+  // winding down; quiesce, then retry the work that failed ourselves. If
+  // the fault has not cleared, stay degraded (with the fresh cause) so
+  // reads keep working and Resume() can be tried again later.
+  Status s = QuiesceAndFlushLocked(l, /*active=*/false);
   if (s.ok()) s = CompactOneStep(nullptr);
   if (!s.ok()) {
     bg_error_ = s;
@@ -538,7 +481,7 @@ Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
     const bool imm_full =
         static_cast<int>(imm_.size()) >= options_.max_immutable_memtables;
     const bool l0_full =
-        static_cast<int>(levels_[0].size()) >= options_.l0_stall_files;
+        static_cast<int>(versions_.files(0).size()) >= options_.l0_stall_files;
     if (!imm_full && !l0_full) {
       s = RotateMemtableLocked();
       if (s.ok()) MaybeScheduleBackgroundLocked();
@@ -553,21 +496,10 @@ Status Engine::MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l) {
       write_stalls_c_->Inc();
       stall_start = clock->Now();
     }
-    if (executor_->single_threaded()) {
-      l.unlock();
-      const size_t ran = executor_->RunQueued();
-      l.lock();
-      if (ran == 0) {
-        // Nothing runnable here (e.g. a deferring test executor): do one
-        // unit inline rather than spin forever.
-        if (!imm_.empty()) {
-          s = HandleForegroundFailureLocked(FlushOldestImm(l, /*unlock=*/false));
-        } else {
-          s = HandleForegroundFailureLocked(CompactOneStep(nullptr));
-        }
-      }
-    } else {
-      bg_cv_.wait(l);
+    if (!AwaitBackgroundLocked(l)) {
+      // Nothing runnable here (e.g. a deferring test executor): do one
+      // unit inline rather than spin forever.
+      s = HandleForegroundFailureLocked(BackgroundUnitLocked(nullptr));
     }
   }
   if (stalled) {
@@ -589,43 +521,28 @@ Status Engine::RotateMemtableLocked() {
   return NewWal();
 }
 
-bool Engine::HasBackgroundWorkLocked() const {
-  if (!imm_.empty()) return true;
-  if (static_cast<int>(levels_[0].size()) >= options_.l0_compaction_trigger) {
-    return true;
-  }
-  for (int level = 1; level < kNumLevels - 1; ++level) {
-    if (LevelBytesLocked(level) > MaxBytesForLevel(level)) return true;
-  }
-  return false;
+void Engine::MaybeScheduleBackgroundLocked() {
+  if (shutting_down_ || bg_scheduled_ || !bg_error_.ok()) return;
+  if (imm_.empty() && versions_.CompactionLevel() < 0) return;
+  bg_scheduled_ = true;
+  executor_->Schedule(BackgroundTask());
 }
 
-void Engine::MaybeScheduleBackgroundLocked() {
-  if (shutting_down_ || bg_scheduled_) return;
-  if (!bg_error_.ok()) return;
-  if (!HasBackgroundWorkLocked()) return;
-  bg_scheduled_ = true;
-  auto token = bg_token_;
-  Engine* self = this;
-  executor_->Schedule([self, token] {
+std::function<void()> Engine::BackgroundTask() {
+  return [self = this, token = bg_token_] {
     // Holding the token mutex while working makes ~Engine block until an
     // in-flight task finishes; tasks arriving after shutdown no-op.
     std::lock_guard<std::mutex> tl(token->mu);
     if (!token->alive) return;
     self->BackgroundWork();
-  });
+  };
 }
 
 void Engine::BackgroundWork() {
   std::unique_lock<std::mutex> l(mu_);
   Status s;
   if (!shutting_down_) {
-    const bool unlock = !executor_->single_threaded();
-    if (!imm_.empty()) {
-      s = FlushOldestImm(l, unlock);
-    } else {
-      s = CompactOneStep(unlock ? &l : nullptr);
-    }
+    s = BackgroundUnitLocked(executor_->single_threaded() ? nullptr : &l);
   }
   if (!s.ok() && !shutting_down_ && bg_error_.ok()) {
     if (IsTransientError(s) && bg_retry_attempts_ < options_.max_bg_retries) {
@@ -647,13 +564,7 @@ void Engine::BackgroundWork() {
       VLOG_WARN << "storage: background work failed transiently (attempt "
                 << bg_retry_attempts_ << "/" << options_.max_bg_retries
                 << ", retrying in " << backoff << "ns): " << s.ToString();
-      auto token = bg_token_;
-      Engine* self = this;
-      executor_->ScheduleAfter(static_cast<uint64_t>(backoff), [self, token] {
-        std::lock_guard<std::mutex> tl(token->mu);
-        if (!token->alive) return;
-        self->BackgroundWork();
-      });
+      executor_->ScheduleAfter(static_cast<uint64_t>(backoff), BackgroundTask());
       bg_cv_.notify_all();
       return;
     }
@@ -668,586 +579,65 @@ void Engine::BackgroundWork() {
   bg_cv_.notify_all();
 }
 
-Status Engine::FlushOldestImm(std::unique_lock<std::mutex>& l, bool unlock) {
-  if (imm_.empty()) return Status::OK();
-  ImmMem target = imm_.front();
-  auto meta = std::make_shared<FileMeta>();
-  meta->number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-  Status s;
-  if (unlock) {
-    // Build the L0 table unlocked: the sealed memtable is frozen and pinned
-    // by the shared_ptr, and flushes are serialized (one background task at
-    // a time; foreground drains quiesce first), so imm_.front() is stable.
-    l.unlock();
-    s = BuildMemTable(*target.mem, meta.get());
-    l.lock();
-  } else {
-    s = BuildMemTable(*target.mem, meta.get());
-  }
-  VELOCE_RETURN_IF_ERROR(s);
-  levels_[0].insert(levels_[0].begin(), meta);  // newest first
-  flush_bytes_c_->Inc(meta->file_size);
-  flushes_c_->Inc();
-  imm_.pop_front();
-  imm_count_.store(imm_.size(), std::memory_order_relaxed);
-  VELOCE_RETURN_IF_ERROR(WriteManifest());
-  // The sealed memtable is durable in L0; retire the WAL that covered it.
-  (void)env_->DeleteFile(WalFileName(target.wal_number));
-  return Status::OK();
+Status Engine::BackgroundUnitLocked(std::unique_lock<std::mutex>* l) {
+  if (!imm_.empty()) return FlushLocked(/*active=*/false, l);
+  return CompactOneStep(l);
 }
 
-void Engine::WaitWritersIdleLocked(std::unique_lock<std::mutex>& l) {
-  while (!writers_.empty()) {
-    writers_empty_cv_.wait(l);
+bool Engine::AwaitBackgroundLocked(std::unique_lock<std::mutex>& l) {
+  if (!executor_->single_threaded()) {
+    bg_cv_.wait(l);
+    return true;
   }
+  l.unlock();
+  const size_t ran = executor_->RunQueued();
+  l.lock();
+  return ran > 0;
 }
 
-void Engine::WaitBackgroundIdleLocked(std::unique_lock<std::mutex>& l) {
-  while (bg_scheduled_) {
-    if (executor_->single_threaded()) {
-      l.unlock();
-      const size_t ran = executor_->RunQueued();
-      l.lock();
-      if (ran == 0) {
-        // The queued task is deferred beyond our reach (test executors);
-        // it re-checks engine state whenever it does run, so treating the
-        // engine as idle here is safe.
-        bg_scheduled_ = false;
-      }
-    } else {
-      bg_cv_.wait(l);
+Status Engine::QuiesceAndFlushLocked(std::unique_lock<std::mutex>& l, bool active) {
+  // No queued writers (mem_ stable) and no in-flight background task (no
+  // concurrent flush of the same sealed memtable). Both waits drop the
+  // lock, so loop until both hold at once.
+  while (!writers_.empty() || bg_scheduled_) {
+    if (!writers_.empty()) {
+      writers_empty_cv_.wait(l);
+    } else if (!AwaitBackgroundLocked(l)) {
+      // The queued task is deferred beyond our reach (test executors); it
+      // re-checks engine state whenever it does run, so treating the
+      // engine as idle here is safe.
+      bg_scheduled_ = false;
     }
   }
-}
-
-Status Engine::BuildMemTable(const MemTable& mem, FileMeta* meta) {
-  const std::string fname = TableFileName(meta->number);
-  {
-    std::unique_ptr<WritableFile> file;
-    VELOCE_RETURN_IF_ERROR(env_->NewWritableFile(fname, &file));
-    TableBuilder builder(std::move(file), MakeTableOptions(options_));
-    auto it = mem.NewIterator();
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      VELOCE_RETURN_IF_ERROR(builder.Add(it->key(), it->value()));
-    }
-    VELOCE_RETURN_IF_ERROR(builder.Finish());
-    meta->file_size = builder.file_size();
-    meta->smallest = builder.smallest();
-    meta->largest = builder.largest();
+  while (!imm_.empty()) {
+    VELOCE_RETURN_IF_ERROR(
+        HandleForegroundFailureLocked(FlushLocked(/*active=*/false, nullptr)));
   }
-  std::unique_ptr<RandomAccessFile> file;
-  VELOCE_RETURN_IF_ERROR(env_->NewRandomAccessFile(fname, &file));
-  VELOCE_ASSIGN_OR_RETURN(meta->table,
-                          Table::Open(std::move(file), block_cache_.get(), meta->number));
-  return Status::OK();
+  if (!active || mem_->num_entries() == 0) return Status::OK();
+  return HandleForegroundFailureLocked(FlushLocked(/*active=*/true, nullptr));
 }
 
 Status Engine::Flush() {
   std::unique_lock<std::mutex> l(mu_);
   VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  // Quiesce: no queued writers (mem_ stable) and no in-flight background
-  // task (no concurrent flush of the same sealed memtable). Both waits
-  // drop the lock, so loop until both hold at once.
-  while (!writers_.empty() || bg_scheduled_) {
-    WaitWritersIdleLocked(l);
-    WaitBackgroundIdleLocked(l);
-  }
-  while (!imm_.empty()) {
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
-        FlushOldestImm(l, /*unlock=*/false)));
-  }
-  if (mem_->num_entries() > 0) {
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-  }
+  VELOCE_RETURN_IF_ERROR(QuiesceAndFlushLocked(l, /*active=*/true));
   MaybeScheduleBackgroundLocked();  // L0 may now be over its trigger
   l.unlock();
   DrainInlineExecutor();
   return Status::OK();
 }
 
-Status Engine::FlushMemTableLocked() {
-  if (mem_->num_entries() == 0) return Status::OK();
-  auto meta = std::make_shared<FileMeta>();
-  meta->number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-  VELOCE_RETURN_IF_ERROR(BuildMemTable(*mem_, meta.get()));
-
-  levels_[0].insert(levels_[0].begin(), meta);  // newest first
-  flush_bytes_c_->Inc(meta->file_size);
-  flushes_c_->Inc();
-
-  mem_ = std::make_shared<MemTable>();
-  // Retire the old WAL: its contents are now durable in the L0 file.
-  const uint64_t old_wal = wal_number_;
-  VELOCE_RETURN_IF_ERROR(NewWal());
-  VELOCE_RETURN_IF_ERROR(WriteManifest());
-  (void)env_->DeleteFile(WalFileName(old_wal));
-  return Status::OK();
-}
-
-uint64_t Engine::MaxBytesForLevel(int level) const {
-  uint64_t max = options_.level_base_bytes;
-  for (int i = 1; i < level; ++i) max *= 10;
-  return max;
-}
-
-Status Engine::CompactOneStep(std::unique_lock<std::mutex>* l) {
-  if (static_cast<int>(levels_[0].size()) >= options_.l0_compaction_trigger) {
-    return CompactL0(l);
-  }
-  for (int level = 1; level < kNumLevels - 1; ++level) {
-    if (LevelBytesLocked(level) > MaxBytesForLevel(level)) {
-      return CompactLevel(level, l);
-    }
-  }
-  return Status::OK();
-}
-
 Status Engine::CompactAll() {
   std::unique_lock<std::mutex> l(mu_);
   VELOCE_RETURN_IF_ERROR(DegradedStatusLocked());
-  while (!writers_.empty() || bg_scheduled_) {
-    WaitWritersIdleLocked(l);
-    WaitBackgroundIdleLocked(l);
-  }
-  while (!imm_.empty()) {
+  VELOCE_RETURN_IF_ERROR(QuiesceAndFlushLocked(l, /*active=*/true));
+  // All of L0 regardless of its trigger, then each level over its target.
+  int level = versions_.files(0).empty() ? versions_.OverfullLevel() : 0;
+  for (; level >= 0; level = versions_.OverfullLevel()) {
     VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(
-        FlushOldestImm(l, /*unlock=*/false)));
-  }
-  VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(FlushMemTableLocked()));
-  if (!levels_[0].empty()) {
-    VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(CompactL0(nullptr)));
-  }
-  for (int level = 1; level < kNumLevels - 1; ++level) {
-    while (LevelBytesLocked(level) > MaxBytesForLevel(level)) {
-      VELOCE_RETURN_IF_ERROR(HandleForegroundFailureLocked(CompactLevel(level, nullptr)));
-    }
+        DoCompaction(versions_.PickCompaction(level), nullptr)));
   }
   return Status::OK();
-}
-
-Engine::FileList Engine::OverlappingFiles(int level, Slice smallest_user,
-                                          Slice largest_user) const {
-  FileList out;
-  for (const auto& f : levels_[level]) {
-    const Slice file_small = ExtractUserKey(Slice(f->smallest));
-    const Slice file_large = ExtractUserKey(Slice(f->largest));
-    if (file_large < smallest_user || file_small > largest_user) continue;
-    out.push_back(f);
-  }
-  return out;
-}
-
-Status Engine::CompactL0(std::unique_lock<std::mutex>* l) {
-  if (levels_[0].empty()) return Status::OK();
-  FileList upper = levels_[0];
-  std::string smallest, largest;
-  for (const auto& f : upper) {
-    const std::string su = ExtractUserKey(Slice(f->smallest)).ToString();
-    const std::string lu = ExtractUserKey(Slice(f->largest)).ToString();
-    if (smallest.empty() || su < smallest) smallest = su;
-    if (largest.empty() || lu > largest) largest = lu;
-  }
-  FileList lower = OverlappingFiles(1, Slice(smallest), Slice(largest));
-  return DoCompaction(upper, 0, lower, 1, l);
-}
-
-Status Engine::CompactLevel(int level, std::unique_lock<std::mutex>* l) {
-  if (levels_[level].empty()) return Status::OK();
-  // Round-robin file pick within the level.
-  const size_t idx = compact_pointer_[level] % levels_[level].size();
-  compact_pointer_[level] = idx + 1;
-  FileList upper = {levels_[level][idx]};
-  const Slice su = ExtractUserKey(Slice(upper[0]->smallest));
-  const Slice lu = ExtractUserKey(Slice(upper[0]->largest));
-  FileList lower = OverlappingFiles(level + 1, su, lu);
-  return DoCompaction(upper, level, lower, level + 1, l);
-}
-
-SequenceNumber Engine::OldestPinnedSeqLocked() const {
-  return pinned_seqs_.empty() ? kMaxSequenceNumber : *pinned_seqs_.begin();
-}
-
-Status Engine::DoCompaction(const FileList& inputs_upper, int upper_level,
-                            const FileList& inputs_lower, int output_level,
-                            std::unique_lock<std::mutex>* l) {
-  compactions_c_->Inc();
-  const SequenceNumber oldest_pinned = OldestPinnedSeqLocked();
-  const bool bottom = output_level == kNumLevels - 1;
-
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  for (const auto& f : inputs_upper) {
-    children.push_back(f->table->NewIterator());
-    compact_read_bytes_c_->Inc(f->file_size);
-  }
-  for (const auto& f : inputs_lower) {
-    children.push_back(f->table->NewIterator());
-    compact_read_bytes_c_->Inc(f->file_size);
-  }
-  auto merged = NewMergingIterator(std::move(children));
-
-  // Merge/build phase. With `l` supplied it runs unlocked: the inputs are
-  // pinned by shared_ptr, compactions are serialized with other background
-  // work, and oldest_pinned captured above stays conservative — iterators
-  // pinned after the unlock only see snapshots at least as new.
-  if (l != nullptr) l->unlock();
-  FileList outputs;
-  std::unique_ptr<TableBuilder> builder;
-  auto merge_status = [&]() -> Status {
-    auto finish_output = [&]() -> Status {
-      if (builder == nullptr) return Status::OK();
-      auto meta = outputs.back();
-      VELOCE_RETURN_IF_ERROR(builder->Finish());
-      meta->file_size = builder->file_size();
-      meta->smallest = builder->smallest();
-      meta->largest = builder->largest();
-      compact_write_bytes_c_->Inc(meta->file_size);
-      std::unique_ptr<RandomAccessFile> file;
-      VELOCE_RETURN_IF_ERROR(env_->NewRandomAccessFile(TableFileName(meta->number), &file));
-      VELOCE_ASSIGN_OR_RETURN(meta->table,
-                              Table::Open(std::move(file), block_cache_.get(), meta->number));
-      builder.reset();
-      return Status::OK();
-    };
-
-    std::string prev_user_key;
-    bool has_prev = false;
-    bool prev_dropped_boundary = false;  // newest version <= oldest_pinned seen
-    for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
-      const Slice ikey = merged->key();
-      const Slice user_key = ExtractUserKey(ikey);
-      const SequenceNumber seq = ExtractSequence(ikey);
-      const ValueType type = ExtractValueType(ikey);
-
-      bool drop = false;
-      if (has_prev && user_key == Slice(prev_user_key)) {
-        // An earlier (newer) version of this user key was already emitted or
-        // established as the visible version for all pinned snapshots.
-        if (prev_dropped_boundary) drop = true;
-      }
-      if (!drop) {
-        prev_user_key.assign(user_key.data(), user_key.size());
-        has_prev = true;
-        prev_dropped_boundary = seq <= oldest_pinned;
-        if (type == ValueType::kDeletion && bottom && seq <= oldest_pinned) {
-          // Tombstone at the bottom: nothing deeper can resurrect the key.
-          drop = true;
-        }
-      }
-      if (drop) continue;
-
-      if (builder == nullptr) {
-        auto meta = std::make_shared<FileMeta>();
-        meta->number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-        std::unique_ptr<WritableFile> file;
-        VELOCE_RETURN_IF_ERROR(env_->NewWritableFile(TableFileName(meta->number), &file));
-        builder = std::make_unique<TableBuilder>(std::move(file), MakeTableOptions(options_));
-        outputs.push_back(std::move(meta));
-      }
-      VELOCE_RETURN_IF_ERROR(builder->Add(ikey, merged->value()));
-      if (builder->file_size() + options_.block_bytes >= options_.sstable_target_bytes) {
-        VELOCE_RETURN_IF_ERROR(finish_output());
-      }
-    }
-    return finish_output();
-  }();
-  if (l != nullptr) l->lock();
-  VELOCE_RETURN_IF_ERROR(merge_status);
-
-  // Install (locked): remove inputs from their levels, add outputs.
-  auto remove_from = [](FileList* list, const FileList& gone) {
-    list->erase(std::remove_if(list->begin(), list->end(),
-                               [&](const std::shared_ptr<FileMeta>& f) {
-                                 for (const auto& g : gone) {
-                                   if (g->number == f->number) return true;
-                                 }
-                                 return false;
-                               }),
-                list->end());
-  };
-  remove_from(&levels_[upper_level], inputs_upper);
-  remove_from(&levels_[output_level], inputs_lower);
-  for (const auto& f : outputs) levels_[output_level].push_back(f);
-  std::sort(levels_[output_level].begin(), levels_[output_level].end(),
-            [](const auto& a, const auto& b) {
-              return Slice(a->smallest) < Slice(b->smallest);
-            });
-  VELOCE_RETURN_IF_ERROR(WriteManifest());
-  for (const auto& f : inputs_upper) {
-    (void)env_->DeleteFile(TableFileName(f->number));
-    if (block_cache_ != nullptr) block_cache_->EvictFile(f->number);
-  }
-  for (const auto& f : inputs_lower) {
-    (void)env_->DeleteFile(TableFileName(f->number));
-    if (block_cache_ != nullptr) block_cache_->EvictFile(f->number);
-  }
-  return Status::OK();
-}
-
-Status Engine::Get(Slice key, std::string* value) {
-  bool found = false;
-  return GetVisible(key, value, &found);
-}
-
-Status Engine::GetVisible(Slice key, std::string* value, bool* found) {
-  std::lock_guard<std::mutex> l(mu_);
-  return GetLocked(key, last_seq_.load(std::memory_order_acquire), value, found);
-}
-
-Status Engine::GetLocked(Slice key, SequenceNumber snapshot, std::string* value,
-                         bool* found) {
-  *found = false;
-  bool is_deleted = false;
-  if (mem_->Get(key, snapshot, value, &is_deleted)) {
-    *found = true;
-    if (is_deleted) return Status::NotFound("deleted");
-    return Status::OK();
-  }
-  // Sealed memtables hold data newer than any SSTable; newest first.
-  for (auto it = imm_.rbegin(); it != imm_.rend(); ++it) {
-    if (it->mem->Get(key, snapshot, value, &is_deleted)) {
-      *found = true;
-      if (is_deleted) return Status::NotFound("deleted");
-      return Status::OK();
-    }
-  }
-  // L0: newest file first; first hit wins (files are seq-ordered). Deeper
-  // levels hold strictly older data, so the first hit at any level ends the
-  // search — no cross-level merge on the point-read path.
-  VELOCE_RETURN_IF_ERROR(SearchFileList(levels_[0], /*overlapping=*/true, key,
-                                        Slice(), snapshot, value, found));
-  if (*found) return Status::OK();
-  for (int level = 1; level < kNumLevels; ++level) {
-    VELOCE_RETURN_IF_ERROR(
-        SearchFileList(levels_[level], false, key, Slice(), snapshot, value, found));
-    if (*found) return Status::OK();
-  }
-  return Status::NotFound("key not found");
-}
-
-Status Engine::SearchFileList(const FileList& files, bool overlapping, Slice user_key,
-                              Slice bloom_prefix, SequenceNumber snapshot,
-                              std::string* value, bool* found) {
-  *found = false;
-  const std::string lookup = MakeInternalKey(user_key, snapshot, ValueType::kValue);
-  if (bloom_prefix.empty()) {
-    bloom_prefix = options_.prefix_extractor != nullptr
-                       ? options_.prefix_extractor(user_key)
-                       : user_key;
-  }
-  for (const auto& f : files) {
-    const Slice file_small = ExtractUserKey(Slice(f->smallest));
-    const Slice file_large = ExtractUserKey(Slice(f->largest));
-    if (user_key < file_small || user_key > file_large) {
-      tables_pruned_c_->Inc();
-      continue;
-    }
-    const bool has_filter = f->table->has_filter();
-    if (has_filter) {
-      bloom_checked_c_->Inc();
-      if (!f->table->MayContainPrefix(bloom_prefix)) {
-        bloom_useful_c_->Inc();
-        if (!overlapping) return Status::OK();  // sorted level: key absent
-        continue;
-      }
-    }
-    std::string fkey, fvalue;
-    Status s = f->table->SeekEntry(Slice(lookup), &fkey, &fvalue);
-    const bool miss = s.IsNotFound() ||
-                      (s.ok() && ExtractUserKey(Slice(fkey)) != user_key);
-    if (miss) {
-      // The filter passed this table yet no version of the key exists here:
-      // a bloom false positive (only chargeable when the extractor maps the
-      // probe prefix 1:1 to this user key, which it does for exact keys).
-      if (has_filter) bloom_false_positive_c_->Inc();
-      if (!overlapping) return Status::OK();
-      continue;
-    }
-    VELOCE_RETURN_IF_ERROR(s);
-    *found = true;
-    if (ExtractValueType(Slice(fkey)) == ValueType::kDeletion) {
-      return Status::NotFound("deleted");
-    }
-    *value = std::move(fvalue);
-    return Status::OK();
-  }
-  return Status::OK();
-}
-
-/// Iterator wrapper that pins a sequence number for snapshot-consistent
-/// reads and unpins on destruction.
-class Engine::PinnedIterator final : public Iterator {
- public:
-  PinnedIterator(Engine* engine, std::unique_ptr<Iterator> inner, SequenceNumber seq)
-      : engine_(engine), inner_(std::move(inner)), seq_(seq) {}
-
-  ~PinnedIterator() override {
-    std::lock_guard<std::mutex> l(engine_->mu_);
-    engine_->pinned_seqs_.erase(engine_->pinned_seqs_.find(seq_));
-  }
-
-  bool Valid() const override { return inner_->Valid(); }
-  void SeekToFirst() override { inner_->SeekToFirst(); }
-  void Seek(Slice target) override { inner_->Seek(target); }
-  void Next() override { inner_->Next(); }
-  Slice key() const override { return inner_->key(); }
-  Slice value() const override { return inner_->value(); }
-
- private:
-  Engine* engine_;
-  std::unique_ptr<Iterator> inner_;
-  SequenceNumber seq_;
-};
-
-/// InternalIterator over one SSTable that defers opening a table iterator
-/// (and therefore any block read) until the table is actually positioned.
-/// A Seek whose target sorts past the table's largest key is rejected on
-/// manifest metadata alone — the table contributes nothing at or after the
-/// target, so it never gets opened at all.
-class Engine::LazyTableIterator final : public InternalIterator {
- public:
-  explicit LazyTableIterator(std::shared_ptr<FileMeta> meta)
-      : meta_(std::move(meta)) {}
-
-  bool Valid() const override { return it_ != nullptr && it_->Valid(); }
-  void SeekToFirst() override {
-    Materialize();
-    it_->SeekToFirst();
-  }
-  void Seek(Slice target) override {
-    if (it_ == nullptr && CompareInternalKey(target, Slice(meta_->largest)) > 0) {
-      return;  // stays !Valid(); the table is never opened
-    }
-    Materialize();
-    it_->Seek(target);
-  }
-  void Next() override { it_->Next(); }
-  Slice key() const override { return it_->key(); }
-  Slice value() const override { return it_->value(); }
-
- private:
-  void Materialize() {
-    if (it_ == nullptr) it_ = meta_->table->NewIterator();
-  }
-
-  std::shared_ptr<FileMeta> meta_;  // keeps the Table alive
-  std::unique_ptr<InternalIterator> it_;
-};
-
-/// User-level iterator that confines its inner iterator to [lower, upper):
-/// SeekToFirst positions at lower, Seek clamps into the bounds, and Valid
-/// turns false once a key reaches upper (empty upper = unbounded).
-class Engine::BoundedIterator final : public Iterator {
- public:
-  BoundedIterator(std::unique_ptr<Iterator> inner, std::string lower,
-                  std::string upper)
-      : inner_(std::move(inner)), lower_(std::move(lower)),
-        upper_(std::move(upper)) {}
-
-  bool Valid() const override {
-    return inner_->Valid() && (upper_.empty() || inner_->key() < Slice(upper_));
-  }
-  void SeekToFirst() override { inner_->Seek(Slice(lower_)); }
-  void Seek(Slice target) override {
-    inner_->Seek(target < Slice(lower_) ? Slice(lower_) : target);
-  }
-  void Next() override { inner_->Next(); }
-  Slice key() const override { return inner_->key(); }
-  Slice value() const override { return inner_->value(); }
-
- private:
-  std::unique_ptr<Iterator> inner_;
-  const std::string lower_;
-  const std::string upper_;
-};
-
-std::unique_ptr<Iterator> Engine::NewIterator() {
-  return NewBoundedIterator(Slice(), Slice());
-}
-
-std::unique_ptr<Iterator> Engine::NewBoundedIterator(Slice lower, Slice upper,
-                                                     Slice bloom_prefix) {
-  std::lock_guard<std::mutex> l(mu_);
-  const SequenceNumber snapshot = last_seq_.load(std::memory_order_acquire);
-  pinned_seqs_.insert(snapshot);
-
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  // Memtables hold the newest data; shared_ptr keeps each alive while the
-  // iterator exists even if the engine seals/flushes and swaps them out.
-  struct MemHolderIter final : public InternalIterator {
-    std::shared_ptr<MemTable> mem;
-    std::unique_ptr<InternalIterator> it;
-    bool Valid() const override { return it->Valid(); }
-    void SeekToFirst() override { it->SeekToFirst(); }
-    void Seek(Slice target) override { it->Seek(target); }
-    void Next() override { it->Next(); }
-    Slice key() const override { return it->key(); }
-    Slice value() const override { return it->value(); }
-  };
-  auto add_mem = [&children](const std::shared_ptr<MemTable>& mem) {
-    auto holder = std::make_unique<MemHolderIter>();
-    holder->mem = mem;
-    holder->it = mem->NewIterator();
-    children.push_back(std::move(holder));
-  };
-  add_mem(mem_);
-  // Sealed memtables, newest first (merge ties break toward lower index).
-  for (auto it = imm_.rbegin(); it != imm_.rend(); ++it) {
-    add_mem(it->mem);
-  }
-
-  for (int level = 0; level < kNumLevels; ++level) {
-    for (const auto& f : levels_[level]) {
-      // Key-range pruning: a table whose [smallest, largest] user-key span
-      // does not intersect [lower, upper) can never contribute an entry.
-      if (!lower.empty() && ExtractUserKey(Slice(f->largest)) < lower) {
-        tables_pruned_c_->Inc();
-        continue;
-      }
-      if (!upper.empty() && ExtractUserKey(Slice(f->smallest)) >= upper) {
-        tables_pruned_c_->Inc();
-        continue;
-      }
-      // For single-prefix reads the caller passes the extracted bloom
-      // prefix; a negative filter probe proves the table holds no slot of
-      // that logical key, so it is dropped before any I/O.
-      if (!bloom_prefix.empty() && f->table->has_filter()) {
-        bloom_checked_c_->Inc();
-        if (!f->table->MayContainPrefix(bloom_prefix)) {
-          bloom_useful_c_->Inc();
-          continue;
-        }
-      }
-      children.push_back(std::make_unique<LazyTableIterator>(f));
-    }
-  }
-  auto user_iter = NewUserIterator(NewMergingIterator(std::move(children)), snapshot);
-  auto bounded = std::make_unique<BoundedIterator>(
-      std::move(user_iter), lower.ToString(), upper.ToString());
-  return std::make_unique<PinnedIterator>(this, std::move(bounded), snapshot);
-}
-
-int Engine::NumFilesAtLevel(int level) const {
-  std::lock_guard<std::mutex> l(mu_);
-  return static_cast<int>(levels_[level].size());
-}
-
-uint64_t Engine::LevelBytesLocked(int level) const {
-  uint64_t total = 0;
-  for (const auto& f : levels_[level]) total += f->file_size;
-  return total;
-}
-
-uint64_t Engine::LevelBytes(int level) const {
-  std::lock_guard<std::mutex> l(mu_);
-  return LevelBytesLocked(level);
-}
-
-uint64_t Engine::ApproximateSize() const {
-  std::lock_guard<std::mutex> l(mu_);
-  uint64_t total = mem_->ApproximateMemoryUsage();
-  for (const auto& imm : imm_) total += imm.mem->ApproximateMemoryUsage();
-  for (int level = 0; level < kNumLevels; ++level) total += LevelBytesLocked(level);
-  return total;
 }
 
 }  // namespace veloce::storage

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,6 +21,7 @@
 #include "storage/iterator.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
+#include "storage/version.h"
 #include "storage/wal.h"
 #include "storage/write_batch.h"
 
@@ -47,7 +49,7 @@ struct EngineStats {
   // Point-read fast path: filter and pruning effectiveness.
   uint64_t bloom_checked = 0;         ///< bloom probes issued
   uint64_t bloom_useful = 0;          ///< tables skipped by a negative probe
-  uint64_t bloom_false_positive = 0;  ///< probes that passed but found nothing
+  uint64_t bloom_false_positive = 0;  ///< passed probes of tables without the prefix
   uint64_t tables_pruned = 0;         ///< tables skipped by key-range pruning
   // Write path backpressure: writers delayed because background flush or
   // compaction could not keep up. Admission control discounts its capacity
@@ -69,13 +71,10 @@ struct EngineOptions {
   size_t block_bytes = 4096;
   /// L0 file count that triggers an L0->L1 compaction.
   int l0_compaction_trigger = 4;
-  /// Capacity of the verified-data-block LRU cache (0 disables it).
+  /// Capacity of the verified-data-block LRU cache (0 disables it), split
+  /// over BlockCache::kDefaultShards lock shards.
   size_t block_cache_bytes = 8 << 20;
-  /// Lock shards in the block cache (each gets block_cache_bytes/N budget).
-  size_t block_cache_shards = BlockCache::kDefaultShards;
-  /// Build bloom filter blocks in new SSTables and consult them on point
-  /// reads. Off = legacy v1 tables, every point read probes data blocks.
-  bool bloom_filters = true;
+  /// Bloom filter density of every SSTable's filter block.
   int bloom_bits_per_key = 10;
   /// Maps engine user keys to the prefix blooms are built over and probed
   /// with (see sstable.h). The KV layer installs an extractor that strips
@@ -179,14 +178,17 @@ class Engine {
   /// `bloom_prefix` is non-empty (an already-extracted point-read prefix,
   /// e.g. one MVCC logical key), each candidate table's filter is consulted
   /// first and negative tables are skipped entirely. SeekToFirst positions
-  /// at `lower`; Seek clamps its target into the bounds.
+  /// at `lower`; Seek clamps its target into the bounds. A block that fails
+  /// to read or verify ends the iteration with the error in status().
   std::unique_ptr<Iterator> NewBoundedIterator(Slice lower, Slice upper,
                                                Slice bloom_prefix = Slice());
 
   /// Forces everything buffered (sealed memtables, then the active
   /// memtable) to L0. Waits out in-flight background work first.
   Status Flush();
-  /// Runs compactions until no level is over its trigger.
+  /// Flushes everything, then compacts all of L0 and every level over its
+  /// size target. A compaction that fails (a write fault, or an input it
+  /// cannot read) installs nothing and deletes its outputs.
   Status CompactAll();
 
   // ---- Error handling (RocksDB-ErrorHandler-style; docs/ROBUSTNESS.md) ----
@@ -215,7 +217,6 @@ class Engine {
   obs::MetricsRegistry* metrics() const { return metrics_; }
   const BlockCache* block_cache() const { return block_cache_.get(); }
   int NumFilesAtLevel(int level) const;
-  uint64_t LevelBytes(int level) const;
   /// Sealed memtables awaiting background flush.
   int NumImmutableMemTables() const {
     return static_cast<int>(imm_count_.load(std::memory_order_relaxed));
@@ -226,17 +227,7 @@ class Engine {
     return last_seq_.load(std::memory_order_acquire);
   }
 
-  static constexpr int kNumLevels = 7;
-
  private:
-  struct FileMeta {
-    uint64_t number = 0;
-    uint64_t file_size = 0;
-    std::string smallest, largest;  // internal keys
-    std::shared_ptr<Table> table;
-  };
-  using FileList = std::vector<std::shared_ptr<FileMeta>>;
-
   /// One queued write. The front writer of `writers_` is the group leader.
   struct Writer {
     explicit Writer(const WriteBatch* b) : batch(b) {}
@@ -261,11 +252,14 @@ class Engine {
     bool alive = true;
   };
 
-  Engine() = default;
+  explicit Engine(EngineOptions options);
 
   void InitMetrics();
   Status Recover();
   Status ReplayWal(const std::string& fname);
+  uint64_t NewFileNumber() {
+    return next_file_number_.fetch_add(1, std::memory_order_relaxed);
+  }
   Status NewWal();
   Status WriteManifest();
   Status LoadManifest();
@@ -296,51 +290,58 @@ class Engine {
   Status MakeRoomForWriteLocked(std::unique_lock<std::mutex>& l);
   /// Seals mem_ (+ its WAL) into imm_ and starts a fresh memtable + WAL.
   Status RotateMemtableLocked();
+
+  // Background work.
   void MaybeScheduleBackgroundLocked();
-  bool HasBackgroundWorkLocked() const;
-  /// One unit of background work: flush the oldest sealed memtable, else
-  /// one compaction step. Reschedules itself while work remains. Holds mu_
-  /// throughout on single-threaded executors, whose thread may be a writer.
+  /// The executor's closure: BackgroundWork(), guarded by bg_token_.
+  std::function<void()> BackgroundTask();
+  /// Runs one unit of background work, retries transient failures after
+  /// backoff and reschedules while work remains. Holds mu_ throughout on
+  /// single-threaded executors, whose thread may be a writer.
   void BackgroundWork();
-  /// Flushes the oldest sealed memtable to L0. When `unlock` is set the
-  /// table build runs with `l` released (only safe from the serialized
-  /// background task).
-  Status FlushOldestImm(std::unique_lock<std::mutex>& l, bool unlock);
-  /// Waits until no write is queued (so mem_ is quiescent).
-  void WaitWritersIdleLocked(std::unique_lock<std::mutex>& l);
-  /// Waits until no background task is queued or running. Single-threaded
-  /// executors are assisted (their queue is drained inline).
-  void WaitBackgroundIdleLocked(std::unique_lock<std::mutex>& l);
+  /// Flushes the oldest sealed memtable, else runs one compaction step. A
+  /// non-null `l` is released during table builds (background task only).
+  Status BackgroundUnitLocked(std::unique_lock<std::mutex>* l);
+  /// Lets background work progress while the caller waits: runs a
+  /// single-threaded executor's queue with `l` released, else sleeps until a
+  /// task completes. False when the single-threaded queue had nothing to run.
+  bool AwaitBackgroundLocked(std::unique_lock<std::mutex>& l);
+  /// Waits out queued writers and background tasks, then flushes every
+  /// sealed memtable and, with `active`, the active one.
+  Status QuiesceAndFlushLocked(std::unique_lock<std::mutex>& l, bool active);
 
-  /// Builds one L0/compaction-output SSTable from a memtable.
-  Status BuildMemTable(const MemTable& mem, FileMeta* meta);
-
-  /// Flushes the active memtable straight to L0 and starts a fresh WAL
-  /// (Recover, Flush, CompactAll).
-  Status FlushMemTableLocked();
-  /// One compaction step if any level is over its trigger.
+  // Flush and compaction (engine_compaction.cc).
+  /// Flushes the oldest sealed memtable (or, with `active`, the active one,
+  /// which a fresh memtable and WAL replace) to L0, then retires its WAL. A
+  /// non-null `l` is released during the table build.
+  Status FlushLocked(bool active, std::unique_lock<std::mutex>* l);
   Status CompactOneStep(std::unique_lock<std::mutex>* l);
-  /// Compacts L0 (all files) + overlapping L1 into L1.
-  Status CompactL0(std::unique_lock<std::mutex>* l);
-  /// Compacts one file from `level` into level+1.
-  Status CompactLevel(int level, std::unique_lock<std::mutex>* l);
-  /// When `l` is non-null the merge/build phase runs with it released
-  /// (inputs are pinned by shared_ptr; install happens relocked).
-  Status DoCompaction(const FileList& inputs_upper, int upper_level,
-                      const FileList& inputs_lower, int output_level,
-                      std::unique_lock<std::mutex>* l);
-  FileList OverlappingFiles(int level, Slice smallest_user, Slice largest_user) const;
-  uint64_t MaxBytesForLevel(int level) const;
-  uint64_t LevelBytesLocked(int level) const;
+  /// Merges the inputs into level + 1, dropping versions no snapshot can
+  /// see. A non-null `l` is released during the merge.
+  Status DoCompaction(const Compaction& c, std::unique_lock<std::mutex>* l);
+  Status StartTable(uint64_t number, std::unique_ptr<TableBuilder>* builder);
+  /// Seals the builder's table; records its size and key range in `meta`.
+  Status FinishTable(TableBuilder* builder, FileMeta* meta);
+  Status OpenTable(FileMeta* meta);
+  /// Deletes the tables' files and evicts their cached blocks.
+  void DeleteTables(const FileList& files);
   SequenceNumber OldestPinnedSeqLocked() const;
 
+  // Reads (engine_read.cc).
   Status GetLocked(Slice key, SequenceNumber snapshot, std::string* value,
                    bool* found);
   Status SearchFileList(const FileList& files, bool overlapping, Slice user_key,
-                        Slice bloom_prefix, SequenceNumber snapshot,
-                        std::string* value, bool* found);
+                        SequenceNumber snapshot, std::string* value, bool* found);
+  enum class TableCheck { kMayHold, kOutOfRange, kFiltered };
+  /// The read-side table filter, counting each outcome: out of range when
+  /// the table misses [lower, upper) (upper inclusive for a `point` read;
+  /// empty bounds are open), filtered when its bloom rejects a set `prefix`.
+  TableCheck CheckTable(const FileMeta& f, Slice lower, Slice upper, bool point,
+                        Slice prefix) const;
+  Slice PrefixOf(Slice user_key) const {
+    return options_.prefix_extractor ? options_.prefix_extractor(user_key) : user_key;
+  }
 
-  class PinnedIterator;
   class LazyTableIterator;
   class BoundedIterator;
 
@@ -359,8 +360,7 @@ class Engine {
   uint64_t wal_number_ = 0;
   std::atomic<uint64_t> next_file_number_{1};
   std::atomic<SequenceNumber> last_seq_{0};
-  FileList levels_[kNumLevels];  // L0 newest-first; L1+ sorted by smallest
-  size_t compact_pointer_[kNumLevels] = {};
+  VersionSet versions_;
   std::multiset<SequenceNumber> pinned_seqs_;
 
   // Group commit state.

@@ -6,38 +6,53 @@ namespace veloce::storage {
 
 namespace {
 
+// A child that stops on an error ends the merge: going on without it would
+// silently skip its keys. The first such error sticks.
 class MergingIterator final : public InternalIterator {
  public:
   explicit MergingIterator(std::vector<std::unique_ptr<InternalIterator>> children)
       : children_(std::move(children)) {}
 
   bool Valid() const override { return current_ >= 0; }
+  Status status() const override { return status_; }
 
   void SeekToFirst() override {
     for (auto& c : children_) c->SeekToFirst();
-    FindSmallest();
+    FindSmallest(kAllMoved);
   }
 
   void Seek(Slice target) override {
     for (auto& c : children_) c->Seek(target);
-    FindSmallest();
+    FindSmallest(kAllMoved);
   }
 
   void Next() override {
     children_[current_]->Next();
-    FindSmallest();
+    FindSmallest(current_);
   }
 
   Slice key() const override { return children_[current_]->key(); }
   Slice value() const override { return children_[current_]->value(); }
 
  private:
-  void FindSmallest() {
+  static constexpr int kAllMoved = -1;
+
+  // `moved` names the child that just moved (kAllMoved: every child); only
+  // a child that just stopped can have failed.
+  void FindSmallest(int moved) {
     current_ = -1;
+    if (!status_.ok()) return;
     for (int i = 0; i < static_cast<int>(children_.size()); ++i) {
-      if (!children_[i]->Valid()) continue;
-      if (current_ < 0 ||
-          CompareInternalKey(children_[i]->key(), children_[current_]->key()) < 0) {
+      const InternalIterator& c = *children_[i];
+      if (!c.Valid()) {
+        if (moved == kAllMoved || moved == i) status_ = c.status();
+        if (!status_.ok()) {
+          current_ = -1;
+          return;
+        }
+        continue;
+      }
+      if (current_ < 0 || CompareInternalKey(c.key(), children_[current_]->key()) < 0) {
         current_ = i;
       }
     }
@@ -45,6 +60,7 @@ class MergingIterator final : public InternalIterator {
 
   std::vector<std::unique_ptr<InternalIterator>> children_;
   int current_ = -1;
+  Status status_;
 };
 
 class UserIterator final : public Iterator {
@@ -68,6 +84,7 @@ class UserIterator final : public Iterator {
 
   Slice key() const override { return Slice(key_); }
   Slice value() const override { return Slice(value_); }
+  Status status() const override { return internal_->status(); }
 
  private:
   // Advances until positioned at the newest visible, non-deleted version of

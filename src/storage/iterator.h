@@ -16,7 +16,9 @@ std::unique_ptr<InternalIterator> NewMergingIterator(
 
 /// Public-facing iterator over user keys and values: collapses the internal
 /// multi-version stream to the newest visible version of each user key at
-/// `snapshot_seq`, hiding tombstones.
+/// `snapshot_seq`, hiding tombstones. As with InternalIterator, a read error
+/// ends the iteration with the error in status(); a caller that takes
+/// !Valid() as "no more keys" must check status() first.
 class Iterator {
  public:
   virtual ~Iterator() = default;
@@ -27,6 +29,7 @@ class Iterator {
   virtual void Next() = 0;
   virtual Slice key() const = 0;    // user key
   virtual Slice value() const = 0;
+  virtual Status status() const = 0;
 };
 
 /// Wraps an internal iterator (already merged) into a user-facing Iterator.

@@ -111,6 +111,7 @@ class MemTable::Iter final : public InternalIterator {
   void Next() override { node_ = node_->next[0].load(std::memory_order_acquire); }
   Slice key() const override { return Slice(node_->key); }
   Slice value() const override { return Slice(node_->value); }
+  Status status() const override { return Status::OK(); }
 
  private:
   const MemTable* mem_;

@@ -7,20 +7,28 @@
 namespace veloce::storage {
 
 namespace {
-constexpr uint64_t kTableMagic = 0x76656c6f63655354ULL;    // "veloceST"
 constexpr uint64_t kTableMagicV2 = 0x76656c6f63655432ULL;  // "veloceT2"
 constexpr uint64_t kFormatV2 = 2;
-constexpr size_t kFooterV1Size = 24;
-constexpr size_t kFooterV2Size = 48;
+constexpr size_t kFooterSize = 48;
+
+// Parses the block entry at the front of `in` and advances past it; false
+// when the entry is malformed.
+bool ParseEntry(Slice* in, Slice* key, Slice* value) {
+  uint64_t klen = 0, vlen = 0;
+  if (!GetVarint64(in, &klen) || in->size() < klen) return false;
+  *key = Slice(in->data(), klen);
+  in->RemovePrefix(klen);
+  if (!GetVarint64(in, &vlen) || in->size() < vlen) return false;
+  *value = Slice(in->data(), vlen);
+  in->RemovePrefix(vlen);
+  return true;
+}
 }  // namespace
 
 TableBuilder::TableBuilder(std::unique_ptr<WritableFile> file, TableOptions options)
     : file_(std::move(file)),
       options_(options),
       bloom_(options.bloom_bits_per_key) {}
-
-TableBuilder::TableBuilder(std::unique_ptr<WritableFile> file, size_t block_size)
-    : TableBuilder(std::move(file), TableOptions{.block_size = block_size}) {}
 
 Status TableBuilder::Add(Slice internal_key, Slice value) {
   VELOCE_CHECK(!finished_);
@@ -32,12 +40,10 @@ Status TableBuilder::Add(Slice internal_key, Slice value) {
   largest_.assign(internal_key.data(), internal_key.size());
   last_key_.assign(internal_key.data(), internal_key.size());
 
-  if (options_.bloom_filter) {
-    const Slice user_key = ExtractUserKey(internal_key);
-    bloom_.AddKey(options_.prefix_extractor != nullptr
-                      ? options_.prefix_extractor(user_key)
-                      : user_key);
-  }
+  const Slice user_key = ExtractUserKey(internal_key);
+  bloom_.AddKey(options_.prefix_extractor != nullptr
+                    ? options_.prefix_extractor(user_key)
+                    : user_key);
 
   PutVarint64(&block_buf_, internal_key.size());
   block_buf_.append(internal_key.data(), internal_key.size());
@@ -74,37 +80,25 @@ Status TableBuilder::Finish() {
   finished_ = true;
   VELOCE_RETURN_IF_ERROR(FlushBlock());
 
-  uint64_t filter_offset = 0, filter_size = 0;
-  if (options_.bloom_filter) {
-    const std::string filter = bloom_.Finish();
-    filter_offset = offset_;
-    filter_size = filter.size();
-    std::string crc;
-    PutFixed32(&crc, crc32c::Mask(crc32c::Value(filter.data(), filter.size())));
-    VELOCE_RETURN_IF_ERROR(file_->Append(Slice(filter)));
-    VELOCE_RETURN_IF_ERROR(file_->Append(Slice(crc)));
-    offset_ += filter.size() + 4;
-  }
+  const std::string filter = bloom_.Finish();
+  const uint64_t filter_offset = offset_;
+  std::string crc;
+  PutFixed32(&crc, crc32c::Mask(crc32c::Value(filter.data(), filter.size())));
+  VELOCE_RETURN_IF_ERROR(file_->Append(Slice(filter)));
+  VELOCE_RETURN_IF_ERROR(file_->Append(Slice(crc)));
+  offset_ += filter.size() + 4;
 
   const uint64_t index_offset = offset_;
   VELOCE_RETURN_IF_ERROR(file_->Append(Slice(index_)));
   offset_ += index_.size();
 
   std::string footer;
-  if (options_.bloom_filter) {
-    PutFixed64(&footer, filter_offset);
-    PutFixed64(&footer, filter_size);
-    PutFixed64(&footer, index_offset);
-    PutFixed64(&footer, index_.size());
-    PutFixed64(&footer, kFormatV2);
-    PutFixed64(&footer, kTableMagicV2);
-  } else {
-    // Legacy v1 footer: identical to pre-filter tables, so the backward
-    // compatibility path stays exercised by every bloom-disabled build.
-    PutFixed64(&footer, index_offset);
-    PutFixed64(&footer, index_.size());
-    PutFixed64(&footer, kTableMagic);
-  }
+  PutFixed64(&footer, filter_offset);
+  PutFixed64(&footer, filter.size());
+  PutFixed64(&footer, index_offset);
+  PutFixed64(&footer, index_.size());
+  PutFixed64(&footer, kFormatV2);
+  PutFixed64(&footer, kTableMagicV2);
   VELOCE_RETURN_IF_ERROR(file_->Append(Slice(footer)));
   offset_ += footer.size();
   VELOCE_RETURN_IF_ERROR(file_->Sync());
@@ -115,45 +109,30 @@ StatusOr<std::shared_ptr<Table>> Table::Open(std::unique_ptr<RandomAccessFile> f
                                              BlockCache* cache,
                                              uint64_t file_number) {
   const uint64_t size = file->Size();
-  if (size < kFooterV1Size) return Status::Corruption("table too small");
+  if (size < kFooterSize) return Status::Corruption("table too small");
   std::string magic_buf;
   VELOCE_RETURN_IF_ERROR(file->Read(size - 8, 8, &magic_buf));
   Slice m(magic_buf);
   uint64_t magic = 0;
   GetFixed64(&m, &magic);
+  if (magic != kTableMagicV2) return Status::Corruption("bad table magic");
 
+  std::string footer;
+  VELOCE_RETURN_IF_ERROR(file->Read(size - kFooterSize, kFooterSize, &footer));
+  Slice f(footer);
   auto table = std::shared_ptr<Table>(new Table());
-  uint64_t index_offset = 0, index_size = 0;
-  if (magic == kTableMagicV2) {
-    if (size < kFooterV2Size) return Status::Corruption("v2 table too small");
-    std::string footer;
-    VELOCE_RETURN_IF_ERROR(file->Read(size - kFooterV2Size, kFooterV2Size, &footer));
-    Slice f(footer);
-    uint64_t version = 0, magic2 = 0;
-    GetFixed64(&f, &table->filter_offset_);
-    GetFixed64(&f, &table->filter_size_);
-    GetFixed64(&f, &index_offset);
-    GetFixed64(&f, &index_size);
-    GetFixed64(&f, &version);
-    GetFixed64(&f, &magic2);
-    if (version < kFormatV2) return Status::Corruption("bad v2 table version");
-    table->format_version_ = version;
-    if (table->filter_offset_ + table->filter_size_ + 4 > size) {
-      return Status::Corruption("bad filter location");
-    }
-  } else if (magic == kTableMagic) {
-    std::string footer;
-    VELOCE_RETURN_IF_ERROR(file->Read(size - kFooterV1Size, kFooterV1Size, &footer));
-    Slice f(footer);
-    uint64_t magic1 = 0;
-    GetFixed64(&f, &index_offset);
-    GetFixed64(&f, &index_size);
-    GetFixed64(&f, &magic1);
-    table->format_version_ = 1;
-  } else {
-    return Status::Corruption("bad table magic");
+  uint64_t index_offset = 0, index_size = 0, version = 0;
+  GetFixed64(&f, &table->filter_offset_);
+  GetFixed64(&f, &table->filter_size_);
+  GetFixed64(&f, &index_offset);
+  GetFixed64(&f, &index_size);
+  GetFixed64(&f, &version);
+  if (version < kFormatV2) return Status::Corruption("bad v2 table version");
+  table->format_version_ = version;
+  if (table->filter_offset_ + table->filter_size_ + 4 > size) {
+    return Status::Corruption("bad filter location");
   }
-  if (index_offset + index_size + kFooterV1Size > size) {
+  if (index_offset + index_size + kFooterSize > size) {
     return Status::Corruption("bad index location");
   }
   std::string index;
@@ -255,17 +234,7 @@ Status Table::SeekEntry(Slice lookup_key, std::string* found_key,
   Slice in(*data);
   while (!in.empty()) {
     Slice key, value;
-    uint64_t klen = 0, vlen = 0;
-    if (!GetVarint64(&in, &klen) || in.size() < klen) {
-      return Status::Corruption("bad block entry");
-    }
-    key = Slice(in.data(), klen);
-    in.RemovePrefix(klen);
-    if (!GetVarint64(&in, &vlen) || in.size() < vlen) {
-      return Status::Corruption("bad block entry");
-    }
-    value = Slice(in.data(), vlen);
-    in.RemovePrefix(vlen);
+    if (!ParseEntry(&in, &key, &value)) return Status::Corruption("bad block entry");
     if (CompareInternalKey(key, lookup_key) >= 0) {
       found_key->assign(key.data(), key.size());
       found_value->assign(value.data(), value.size());
@@ -277,12 +246,14 @@ Status Table::SeekEntry(Slice lookup_key, std::string* found_key,
   return Status::NotFound("not in block");
 }
 
-/// Iterator: walks blocks lazily, materializing one block at a time.
+/// Iterator: walks blocks lazily, materializing one block at a time. The
+/// first read or format error ends it for good (status() keeps the error).
 class Table::Iter final : public InternalIterator {
  public:
   explicit Iter(const Table* table) : table_(table) {}
 
   bool Valid() const override { return valid_; }
+  Status status() const override { return status_; }
 
   void SeekToFirst() override {
     block_idx_ = 0;
@@ -301,7 +272,7 @@ class Table::Iter final : public InternalIterator {
 
   void Next() override {
     ParseNext();
-    while (!valid_ && block_idx_ + 1 < table_->index_entries_.size()) {
+    if (!valid_ && status_.ok()) {
       ++block_idx_;
       LoadBlockAndPosition(Slice());
     }
@@ -312,49 +283,34 @@ class Table::Iter final : public InternalIterator {
 
  private:
   // Loads block_idx_ and positions at the first entry >= target (or first
-  // entry when target is empty).
+  // entry when target is empty), spilling into later blocks when the target
+  // sorts past every entry of this one.
   void LoadBlockAndPosition(Slice target) {
     valid_ = false;
-    if (block_idx_ >= table_->index_entries_.size()) return;
-    if (!table_->ReadBlock(block_idx_, &block_).ok()) return;
-    pos_ = 0;
-    ParseNext();
-    if (!target.empty()) {
-      while (valid_ && CompareInternalKey(Slice(key_), target) < 0) ParseNext();
-    }
-    // If we ran off this block while seeking, spill into the next ones.
-    while (!valid_ && block_idx_ + 1 < table_->index_entries_.size()) {
-      ++block_idx_;
-      if (!table_->ReadBlock(block_idx_, &block_).ok()) return;
+    for (; status_.ok() && block_idx_ < table_->index_entries_.size(); ++block_idx_) {
+      status_ = table_->ReadBlock(block_idx_, &block_);
+      if (!status_.ok()) return;
       pos_ = 0;
       ParseNext();
       if (!target.empty()) {
         while (valid_ && CompareInternalKey(Slice(key_), target) < 0) ParseNext();
       }
+      if (valid_) return;
     }
   }
 
   void ParseNext() {
-    if (block_ == nullptr || pos_ >= block_->size()) {
-      valid_ = false;
-      return;
-    }
+    valid_ = false;
+    if (block_ == nullptr || pos_ >= block_->size()) return;
     Slice in(block_->data() + pos_, block_->size() - pos_);
-    const char* start = in.data();
-    uint64_t klen = 0, vlen = 0;
-    if (!GetVarint64(&in, &klen) || in.size() < klen) {
-      valid_ = false;
+    Slice key, value;
+    if (!ParseEntry(&in, &key, &value)) {
+      status_ = Status::Corruption("bad block entry");
       return;
     }
-    key_.assign(in.data(), klen);
-    in.RemovePrefix(klen);
-    if (!GetVarint64(&in, &vlen) || in.size() < vlen) {
-      valid_ = false;
-      return;
-    }
-    value_.assign(in.data(), vlen);
-    in.RemovePrefix(vlen);
-    pos_ += static_cast<size_t>(in.data() - start);
+    key_.assign(key.data(), key.size());
+    value_.assign(value.data(), value.size());
+    pos_ = block_->size() - in.size();
     valid_ = true;
   }
 
@@ -364,6 +320,7 @@ class Table::Iter final : public InternalIterator {
   size_t pos_ = 0;
   std::string key_, value_;
   bool valid_ = false;
+  Status status_;
 };
 
 std::unique_ptr<InternalIterator> Table::NewIterator() const {

@@ -24,9 +24,6 @@ using PrefixExtractor = Slice (*)(Slice user_key);
 /// Build-time knobs for one SSTable.
 struct TableOptions {
   size_t block_size = 4096;
-  /// Build a bloom filter block over key prefixes (format v2 footer). When
-  /// false the builder emits the legacy v1 footer with no filter block.
-  bool bloom_filter = true;
   int bloom_bits_per_key = 10;
   PrefixExtractor prefix_extractor = nullptr;
 };
@@ -35,29 +32,26 @@ struct TableOptions {
 ///
 /// Format:
 ///   data blocks:  [varint klen | key | varint vlen | value]* , masked crc32
-///   filter block: bloom bits | k (v2 only), masked crc32
+///   filter block: bloom bits | k, masked crc32
 ///   index block:  [varint klen | last_key_of_block | offset u64 | size u64]*
-///   footer v1:    index_offset u64 | index_size u64 | magic u64
-///   footer v2:    filter_offset u64 | filter_size u64 |
+///   footer:       filter_offset u64 | filter_size u64 |
 ///                 index_offset u64 | index_size u64 |
 ///                 format_version u64 | magic_v2 u64
 ///
-/// Readers dispatch on the trailing magic, so v1 tables written before the
-/// filter block existed still open.
+/// Any other trailing magic (including the pre-filter v1 format's) fails to
+/// open as Corruption.
 ///
 /// Keys are internal keys, added in sorted order by the builder.
 class TableBuilder {
  public:
   TableBuilder(std::unique_ptr<WritableFile> file, TableOptions options);
-  /// Legacy convenience: block size only, defaults elsewhere.
-  TableBuilder(std::unique_ptr<WritableFile> file, size_t block_size = 4096);
 
   /// Adds an entry; keys must arrive in strictly increasing internal-key
   /// order.
   Status Add(Slice internal_key, Slice value);
 
-  /// Writes the filter (if enabled), index, and footer. The builder is
-  /// unusable afterwards.
+  /// Writes the filter, index, and footer, then syncs and closes the file.
+  /// The builder is unusable afterwards.
   Status Finish();
 
   uint64_t num_entries() const { return num_entries_; }
@@ -97,14 +91,15 @@ class Table {
   /// this table is >= lookup_key.
   Status SeekEntry(Slice lookup_key, std::string* found_key, std::string* found_value) const;
 
+  /// A block that fails to read or verify, or a malformed entry, ends the
+  /// iteration (!Valid) with the error in status().
   std::unique_ptr<InternalIterator> NewIterator() const;
 
-  /// True when the table carries a filter block (format v2 with a non-empty
-  /// filter).
+  /// True when the footer names a non-empty filter block.
   bool has_filter() const { return filter_size_ > 0; }
 
   /// Bloom probe with an already-extracted prefix. True means "may contain";
-  /// false is definitive. Filterless tables always return true. Loads the
+  /// false is definitive. A table without a filter returns true. Loads the
   /// filter block on first use (thread-safe); a corrupt filter block is
   /// treated as absent rather than failing reads.
   bool MayContainPrefix(Slice prefix) const;
@@ -131,7 +126,7 @@ class Table {
   std::vector<IndexEntry> index_entries_;
   BlockCache* cache_ = nullptr;
   uint64_t file_number_ = 0;
-  uint64_t format_version_ = 1;
+  uint64_t format_version_ = 0;
   uint64_t filter_offset_ = 0;
   uint64_t filter_size_ = 0;  // payload bytes, excluding the crc trailer
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "kv/cluster.h"
 #include "kv/keys.h"
 #include "kv/linearizability.h"
+#include "kv/mvcc.h"
 #include "kv/transaction.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
@@ -21,6 +23,7 @@
 #include "storage/engine.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
+#include "storage/version.h"
 #include "storage/wal.h"
 #include "storage/write_batch.h"
 
@@ -593,7 +596,6 @@ TEST(EngineFaultTest, ReadBitFlipSurfacesCorruption) {
   EngineOptions opts;
   opts.env = &fault;
   opts.block_cache_bytes = 0;  // force every read through the (faulty) disk
-  opts.bloom_filters = false;
   auto engine = *Engine::Open(opts);
   Random rnd(3);
   for (int i = 0; i < 50; ++i) {
@@ -617,6 +619,182 @@ TEST(EngineFaultTest, ReadBitFlipSurfacesCorruption) {
   // key reads fine again (nothing was cached corrupt).
   fault.ClearRules();
   ASSERT_TRUE(engine->Get("key7", &value).ok());
+}
+
+TEST(EngineFaultTest, BoundedIteratorBitFlipEndsWithCorruption) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get(), /*seed=*/5);
+  EngineOptions opts;
+  opts.env = &fault;
+  opts.block_cache_bytes = 0;
+  opts.block_bytes = 256;  // several blocks, so a scan spans block reads
+  auto engine = *Engine::Open(opts);
+  char key[16];
+  for (int i = 0; i < 100; ++i) {
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    ASSERT_TRUE(engine->Put(key, std::string(40, 'v')).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+
+  FaultRule rule;
+  rule.op = FaultOp::kRead;
+  rule.path_substr = ".sst";
+  rule.skip = 2;  // the scan's third block read comes back bit-flipped
+  rule.count = -1;
+  rule.bit_flip = true;
+  fault.AddRule(rule);
+  auto it = engine->NewBoundedIterator("key000", "key100");
+  int seen = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) ++seen;
+  EXPECT_GT(seen, 0);
+  EXPECT_LT(seen, 100);
+  EXPECT_EQ(it->status().code(), Code::kCorruption) << it->status().ToString();
+
+  fault.ClearRules();
+  auto healed = engine->NewBoundedIterator("key000", "key100");
+  seen = 0;
+  for (healed->SeekToFirst(); healed->Valid(); healed->Next()) ++seen;
+  EXPECT_EQ(seen, 100);
+  EXPECT_TRUE(healed->status().ok());
+}
+
+TEST(EngineFaultTest, MvccReadsSurfaceBlockCorruption) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get(), /*seed=*/9);
+  EngineOptions opts;
+  opts.env = &fault;
+  opts.block_cache_bytes = 0;
+  opts.block_bytes = 256;
+  opts.prefix_extractor = kv::MvccPrefixExtractor;  // as on every KV node
+  auto engine = *Engine::Open(opts);
+  WriteBatch batch;
+  char key[16];
+  for (int i = 0; i < 100; ++i) {
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    kv::MvccPutValue(&batch, key, kv::Timestamp{10, 0}, std::string(40, 'v'));
+  }
+  ASSERT_TRUE(engine->Write(batch).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+
+  FaultRule rule;
+  rule.op = FaultOp::kRead;
+  rule.path_substr = ".sst";
+  rule.skip = 2;  // a scan gets two good blocks, then flipped bits
+  rule.count = -1;
+  rule.bit_flip = true;
+  fault.AddRule(rule);
+  auto scan = kv::MvccScan(engine.get(), "key000", "key100", kv::Timestamp{20, 0}, 0);
+  EXPECT_EQ(scan.status().code(), Code::kCorruption) << scan.status().ToString();
+  auto get = kv::MvccGet(engine.get(), "key050", kv::Timestamp{20, 0});
+  EXPECT_EQ(get.status().code(), Code::kCorruption) << get.status().ToString();
+
+  fault.ClearRules();
+  scan = kv::MvccScan(engine.get(), "key000", "key100", kv::Timestamp{20, 0}, 0);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->entries.size(), 100u);
+}
+
+// Four flushed L0 tables of 200 keys each, no block cache (every block read
+// reaches the Env) and compactions only when asked for.
+std::unique_ptr<Engine> OpenWithFourTables(Env* env) {
+  EngineOptions opts;
+  opts.env = env;
+  opts.block_cache_bytes = 0;
+  opts.l0_compaction_trigger = 100;
+  opts.sstable_target_bytes = 8 << 10;
+  auto engine = *Engine::Open(opts);
+  char key[16];
+  for (int i = 0; i < 800; ++i) {
+    std::snprintf(key, sizeof(key), "key%05d", i);
+    EXPECT_TRUE(engine->Put(key, std::string(32, static_cast<char>('a' + i % 26))).ok());
+    if (i % 200 == 199) EXPECT_TRUE(engine->Flush().ok());
+  }
+  EXPECT_EQ(engine->NumFilesAtLevel(0), 4);
+  return engine;
+}
+
+int ReadableKeys(Engine* engine) {
+  int readable = 0;
+  char key[16];
+  std::string value;
+  for (int i = 0; i < 800; ++i) {
+    std::snprintf(key, sizeof(key), "key%05d", i);
+    if (engine->Get(key, &value).ok() &&
+        value == std::string(32, static_cast<char>('a' + i % 26))) {
+      ++readable;
+    }
+  }
+  return readable;
+}
+
+TEST(EngineFaultTest, CompactionReadFaultFailsInsteadOfDroppingKeys) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get(), /*seed=*/11);
+  auto engine = OpenWithFourTables(&fault);
+
+  // The merge opens one block per input; the fourth read fails. Taking
+  // that as the end of the input would install 600 of the 800 keys and
+  // delete the tables holding the rest.
+  FaultRule rule;
+  rule.op = FaultOp::kRead;
+  rule.path_substr = ".sst";
+  rule.skip = 3;
+  rule.count = 1;
+  fault.AddRule(rule);
+  const Status s = engine->CompactAll();
+  EXPECT_EQ(s.code(), Code::kIOError) << s.ToString();
+  EXPECT_EQ(fault.injected(FaultOp::kRead), 1u);
+  EXPECT_FALSE(engine->degraded());  // transient: the next attempt retries
+  fault.ClearRules();
+  EXPECT_EQ(engine->NumFilesAtLevel(0), 4);
+  EXPECT_EQ(ReadableKeys(engine.get()), 800);
+
+  ASSERT_TRUE(engine->CompactAll().ok());
+  EXPECT_EQ(engine->NumFilesAtLevel(0), 0);
+  EXPECT_EQ(ReadableKeys(engine.get()), 800);
+  engine.reset();
+  EngineOptions opts;
+  opts.env = &fault;
+  auto reopened = *Engine::Open(opts);
+  EXPECT_EQ(ReadableKeys(reopened.get()), 800);
+}
+
+TEST(EngineFaultTest, FailedCompactionsLeaveNoOrphanTables) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get(), /*seed=*/13);
+  auto engine = OpenWithFourTables(&fault);
+  auto table_files = [&] {
+    std::vector<std::string> children;
+    EXPECT_TRUE(fault.GetChildren("veloce-db", &children).ok());
+    return std::count_if(children.begin(), children.end(), [](const std::string& n) {
+      return n.size() > 4 && n.compare(n.size() - 4, 4, ".sst") == 0;
+    });
+  };
+  auto live_files = [&] {
+    int live = 0;
+    for (int level = 0; level < VersionSet::kNumLevels; ++level) {
+      live += engine->NumFilesAtLevel(level);
+    }
+    return live;
+  };
+
+  // Each attempt finishes two outputs, then fails syncing the third.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    FaultRule rule;
+    rule.op = FaultOp::kSync;
+    rule.path_substr = ".sst";
+    rule.skip = 2;
+    rule.count = 1;
+    const int id = fault.AddRule(rule);
+    EXPECT_EQ(engine->CompactAll().code(), Code::kIOError);
+    fault.RemoveRule(id);
+    EXPECT_EQ(table_files(), live_files()) << "after attempt " << attempt;
+  }
+  EXPECT_EQ(live_files(), 4);
+
+  ASSERT_TRUE(engine->CompactAll().ok());
+  EXPECT_EQ(table_files(), live_files());
+  EXPECT_EQ(ReadableKeys(engine.get()), 800);
 }
 
 // ---------------------------------------------------------------------------

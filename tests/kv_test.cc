@@ -290,6 +290,29 @@ TEST_F(MvccTest, AnyNewerVersionsSkipsOlderHistoryButNotNextKey) {
   }
 }
 
+TEST_F(MvccTest, AbsentIntentSlotIsNoBloomFalsePositive) {
+  // Each flushed table holds versions of "k" between other keys, so its key
+  // range covers k's intent slot and the "k" prefix passes its filter. An
+  // intent lookup then misses the slot, but the filter answered correctly:
+  // the table does hold that logical key.
+  storage::EngineOptions options;
+  options.prefix_extractor = MvccPrefixExtractor;
+  engine_ = std::move(storage::Engine::Open(options)).value();
+  for (int i = 1; i <= 3; ++i) {
+    PutValue("a", {10 * i, 0}, "v");
+    PutValue("k", {10 * i, 0}, "v" + std::to_string(i));
+    PutValue("z", {10 * i, 0}, "v");
+    ASSERT_TRUE(engine_->Flush().ok());
+  }
+  EXPECT_FALSE(MvccGetIntent(engine_.get(), "k")->has_value());
+  auto got = MvccGet(engine_.get(), "k", {100, 0});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value.value_or(""), "v3");
+  const storage::EngineStats& stats = engine_->stats();
+  EXPECT_GE(stats.bloom_checked, 3u);
+  EXPECT_EQ(stats.bloom_false_positive, 0u);
+}
+
 TEST_F(MvccTest, AnyNewerVersionsFailsOnForeignIntentAtOrBelowTarget) {
   PutValue("b", {10, 0}, "v");
   PutIntent("b", 42, {90, 0}, "provisional");

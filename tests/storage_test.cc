@@ -308,7 +308,7 @@ TEST(SSTableTest, BuildAndLookup) {
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  TableBuilder builder(std::move(wfile), /*block_size=*/64);
+  TableBuilder builder(std::move(wfile), TableOptions{.block_size = 64});
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%03d", i);
@@ -346,7 +346,7 @@ TEST(SSTableTest, IteratorScansAllEntries) {
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  TableBuilder builder(std::move(wfile), 128);
+  TableBuilder builder(std::move(wfile), TableOptions{.block_size = 128});
   const int n = 500;
   for (int i = 0; i < n; ++i) {
     char key[16];
@@ -372,7 +372,7 @@ TEST(SSTableTest, IteratorSeekLandsOnOrAfter) {
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  TableBuilder builder(std::move(wfile), 64);
+  TableBuilder builder(std::move(wfile), TableOptions{.block_size = 64});
   for (int i = 0; i < 100; i += 2) {  // even keys only
     char key[16];
     std::snprintf(key, sizeof(key), "k%03d", i);
@@ -394,7 +394,7 @@ TEST(SSTableTest, CorruptBlockDetected) {
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  TableBuilder builder(std::move(wfile), 4096);
+  TableBuilder builder(std::move(wfile), TableOptions{.block_size = 4096});
   ASSERT_TRUE(builder.Add(MakeInternalKey("a", 1, ValueType::kValue), "v").ok());
   ASSERT_TRUE(builder.Finish().ok());
   std::string contents;
@@ -499,32 +499,27 @@ TEST(SSTableTest, FilterBlockRoundTrip) {
   EXPECT_LT(false_positives, 25);  // ~1% expected at 10 bits/key
 }
 
-TEST(SSTableTest, PreFilterTableStillOpensAndReads) {
-  // bloom_filter=false writes the legacy v1 footer — the exact layout of
-  // every table built before filters existed. Readers must keep serving it.
+TEST(SSTableTest, PreFilterMagicIsRejected) {
+  // Only the v2 footer is readable: a table ending in the pre-filter v1
+  // magic ("veloceST") fails to open as corruption.
   auto env = NewMemEnv();
   std::unique_ptr<WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  TableOptions topts;
-  topts.bloom_filter = false;
-  TableBuilder builder(std::move(wfile), topts);
+  TableBuilder builder(std::move(wfile), TableOptions{});
   ASSERT_TRUE(builder.Add(MakeInternalKey("a", 1, ValueType::kValue), "va").ok());
-  ASSERT_TRUE(builder.Add(MakeInternalKey("b", 1, ValueType::kValue), "vb").ok());
   ASSERT_TRUE(builder.Finish().ok());
+  std::string contents;
+  ASSERT_TRUE(env->ReadFileToString("t.sst", &contents).ok());
+  contents.resize(contents.size() - 8);
+  PutFixed64(&contents, 0x76656c6f63655354ULL);
+  ASSERT_TRUE(env->WriteStringToFile("v1.sst", contents).ok());
 
   std::unique_ptr<RandomAccessFile> rfile;
-  ASSERT_TRUE(env->NewRandomAccessFile("t.sst", &rfile).ok());
-  auto table = *Table::Open(std::move(rfile));
-  EXPECT_FALSE(table->has_filter());
-  EXPECT_EQ(table->format_version(), 1u);
-  // Without a filter every prefix may match: reads fall through to blocks.
-  EXPECT_TRUE(table->MayContainPrefix("a"));
-  EXPECT_TRUE(table->MayContainPrefix("zzz"));
-  std::string fkey, fvalue;
-  ASSERT_TRUE(table->SeekEntry(MakeInternalKey("b", kMaxSequenceNumber,
-                                               ValueType::kValue),
-                               &fkey, &fvalue).ok());
-  EXPECT_EQ(fvalue, "vb");
+  ASSERT_TRUE(env->NewRandomAccessFile("v1.sst", &rfile).ok());
+  auto table = Table::Open(std::move(rfile));
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), Code::kCorruption);
+  EXPECT_NE(table.status().message().find("bad table magic"), std::string::npos);
 }
 
 TEST(SSTableTest, PrefixExtractorControlsFilterGranularity) {
@@ -817,33 +812,6 @@ TEST(EngineTest, RangePruningCountsSkippedTables) {
   // rejected on its key range alone before "a1" is found in the older one.
   ASSERT_TRUE(engine->Get("a1", &value).ok());
   EXPECT_GT(engine->stats().tables_pruned, 0u);
-}
-
-TEST(EngineTest, BloomDisabledEngineWritesLegacyTablesNewEngineReadsThem) {
-  // The upgrade scenario: tables written before filters existed (v1) must
-  // keep serving reads under a bloom-enabled engine after reopen.
-  auto env = NewMemEnv();
-  EngineOptions opts;
-  opts.env = env.get();
-  opts.dir = "db";
-  opts.bloom_filters = false;
-  {
-    auto engine = *Engine::Open(opts);
-    ASSERT_TRUE(engine->Put("old-key", "old-value").ok());
-    ASSERT_TRUE(engine->Flush().ok());
-  }
-  opts.bloom_filters = true;
-  auto engine = *Engine::Open(opts);
-  std::string value;
-  ASSERT_TRUE(engine->Get("old-key", &value).ok());
-  EXPECT_EQ(value, "old-value");
-  // Legacy tables have no filter, so no probes were issued against them.
-  EXPECT_EQ(engine->stats().bloom_checked, 0u);
-  // New writes flush v2 tables; now probes happen.
-  ASSERT_TRUE(engine->Put("new-key", "new-value").ok());
-  ASSERT_TRUE(engine->Flush().ok());
-  ASSERT_TRUE(engine->Get("new-key", &value).ok());
-  EXPECT_GT(engine->stats().bloom_checked, 0u);
 }
 
 TEST(EngineTest, ManifestReloadPreservesPruningMetadata) {

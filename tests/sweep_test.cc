@@ -25,7 +25,8 @@ TEST_P(BlockSizeSweep, BuildSeekScanRoundTrip) {
   auto env = storage::NewMemEnv();
   std::unique_ptr<storage::WritableFile> wfile;
   ASSERT_TRUE(env->NewWritableFile("t.sst", &wfile).ok());
-  storage::TableBuilder builder(std::move(wfile), GetParam());
+  storage::TableBuilder builder(std::move(wfile),
+                                storage::TableOptions{.block_size = GetParam()});
   Random rnd(static_cast<uint64_t>(GetParam()));
   std::map<std::string, std::string> model;
   for (int i = 0; i < 400; ++i) {
