@@ -19,7 +19,8 @@ NodeAdmissionController::NodeAdmissionController(sim::EventLoop* loop,
       cq_(loop->clock()),
       wq_(loop->clock()),
       slots_({.vcpus = options_.vcpus}),
-      write_bucket_(loop->clock()) {
+      write_bucket_(loop->clock()),
+      metrics_(options_.obs.metrics) {
   InitMetrics();
   if (options_.enabled && options_.background_tasks) {
     sampler_ = std::make_unique<sim::PeriodicTask>(loop_, options_.sample_period, [this] {
@@ -39,13 +40,6 @@ NodeAdmissionController::NodeAdmissionController(sim::EventLoop* loop,
 }
 
 void NodeAdmissionController::InitMetrics() {
-  metrics_ = options_.obs.metrics;
-  if (metrics_ == nullptr) {
-    // Private registry: keeps metrics()/series per-instance-correct with
-    // zero wiring (tests construct controllers standalone).
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   obs::Labels labels;
   if (!options_.instance.empty()) labels.push_back({"node", options_.instance});
   admitted_c_ = metrics_->counter("veloce_admission_admitted_total", labels);

@@ -83,7 +83,7 @@ class NodeAdmissionController {
   size_t wq_queued() const { return wq_.queued(); }
   uint64_t tenant_cpu_consumed(uint64_t tenant) const { return cq_.consumption(tenant); }
   /// Registry holding this controller's `veloce_admission_*` series.
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
  private:
   void InitMetrics();
@@ -104,8 +104,7 @@ class NodeAdmissionController {
   std::unique_ptr<sim::PeriodicTask> wq_pump_;
   std::unique_ptr<sim::PeriodicTask> decayer_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* admitted_c_ = nullptr;
   obs::Counter* wq_throttled_c_ = nullptr;
   obs::Counter* slices_c_ = nullptr;

@@ -4,12 +4,7 @@ namespace veloce::billing {
 
 TenantMeter::TenantMeter(Clock* clock, EstimatedCpuModel model,
                          const obs::ObsContext& obs)
-    : clock_(clock), model_(std::move(model)) {
-  metrics_ = obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+    : clock_(clock), model_(std::move(model)), metrics_(obs.metrics) {
   cuts_c_ = metrics_->counter("veloce_billing_interval_cuts_total");
 }
 

@@ -67,8 +67,7 @@ class TenantMeter {
 
   Clock* clock_;
   EstimatedCpuModel model_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::Counter* cuts_c_ = nullptr;
   mutable std::mutex mu_;
   std::map<uint64_t, TenantWindow> windows_;

@@ -10,12 +10,8 @@ TokenBucketServer::TokenBucketServer(Clock* clock, double quota_vcpus,
     : clock_(clock),
       quota_vcpus_(quota_vcpus),
       tokens_(quota_vcpus * kTokensPerVcpuSecond * kBurstSeconds),
-      last_refill_(clock->Now()) {
-  metrics_ = obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+      last_refill_(clock->Now()),
+      metrics_(obs.metrics) {
   obs::Labels labels;
   if (!tenant_label.empty()) labels.push_back({"tenant", tenant_label});
   requests_c_ = metrics_->counter("veloce_billing_token_requests_total", labels);

@@ -73,8 +73,7 @@ class TokenBucketServer {
   /// trickling nodes instead of accumulating in the bucket.
   mutable Nanos trickle_active_until_ = 0;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::Counter* requests_c_ = nullptr;
   obs::Counter* trickle_grants_c_ = nullptr;
   obs::Gauge* tokens_granted_g_ = nullptr;  ///< double-valued running total

@@ -42,11 +42,7 @@ KVCluster::KVCluster(KVClusterOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock
                                        : options_.obs.clock_or_real()),
-      owned_metrics_(options_.obs.metrics == nullptr
-                         ? std::make_unique<obs::MetricsRegistry>()
-                         : nullptr),
-      metrics_(options_.obs.metrics != nullptr ? options_.obs.metrics
-                                               : owned_metrics_.get()),
+      metrics_(options_.obs.metrics),
       hlc_(clock_),
       txn_registry_(clock_),
       // The oracle keeps its default batch size and refill threshold.
@@ -57,9 +53,9 @@ KVCluster::KVCluster(KVClusterOptions options)
                                                        {{"mode", "sync"}}),
                      .async_refills = metrics_->counter(
                          "veloce_txn_oracle_refills_total", {{"mode", "async"}})})),
-      directory_(metrics_),
-      liveness_(clock_, options_.liveness_duration, metrics_),
-      replication_(nodes_, options_.transport, metrics_),
+      directory_(metrics_.get()),
+      liveness_(clock_, options_.liveness_duration, metrics_.get()),
+      replication_(nodes_, options_.transport, metrics_.get()),
       recovery_{clock_, &txn_registry_, oracle_.get(), &directory_, &nodes_,
                 metrics_->counter("veloce_txn_staging_recoveries_total")} {
   VELOCE_CHECK(options_.num_nodes >= 1);
@@ -67,7 +63,7 @@ KVCluster::KVCluster(KVClusterOptions options)
   VELOCE_CHECK(options_.replication_factor <= options_.num_nodes);
   obs_ = options_.obs;
   obs_.clock = clock_;
-  obs_.metrics = metrics_;
+  obs_.metrics = metrics_.get();
   replica_moves_c_ = metrics_->counter("veloce_kv_replica_moves_total");
   intent_conflicts_c_ = metrics_->counter("veloce_kv_intent_conflicts_total");
   txn_metrics_.commits_1pc =

@@ -109,7 +109,7 @@ class KVCluster {
   Clock* clock() const { return clock_; }
   /// Registry holding the cluster's `veloce_kv_*` / `veloce_storage_*`
   /// series (the injected one, or the cluster's private default).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return metrics_.get(); }
   HybridLogicalClock* hlc() { return &hlc_; }
   TxnRegistry* txn_registry() { return &txn_registry_; }
   TimestampOracle* timestamp_oracle() { return oracle_.get(); }
@@ -389,8 +389,7 @@ class KVCluster {
 
   KVClusterOptions options_;
   Clock* clock_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_;
+  obs::RegistryRef metrics_;
   obs::ObsContext obs_;  // resolved context handed to nodes/engines
   HybridLogicalClock hlc_;
   TxnRegistry txn_registry_;

@@ -7,28 +7,21 @@ namespace veloce::kv {
 
 KVNode::KVNode(NodeId id, std::string region,
                storage::EngineOptions engine_options, const obs::ObsContext& obs)
-    : id_(id), region_(std::move(region)) {
-  obs::MetricsRegistry* metrics = obs.metrics;
-  if (metrics == nullptr) {
-    // Standalone node (tests, single-node tools): private registry so
-    // stats() stays per-instance-correct without any wiring.
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+    : id_(id), region_(std::move(region)), metrics_(obs.metrics) {
   const obs::Labels labels = {{"node", std::to_string(id_)}};
-  read_batches_c_ = metrics->counter("veloce_kv_read_batches_total", labels);
-  write_batches_c_ = metrics->counter("veloce_kv_write_batches_total", labels);
-  read_requests_c_ = metrics->counter("veloce_kv_read_requests_total", labels);
-  write_requests_c_ = metrics->counter("veloce_kv_write_requests_total", labels);
-  read_bytes_c_ = metrics->counter("veloce_kv_read_bytes_total", labels);
-  write_bytes_c_ = metrics->counter("veloce_kv_write_bytes_total", labels);
+  read_batches_c_ = metrics_->counter("veloce_kv_read_batches_total", labels);
+  write_batches_c_ = metrics_->counter("veloce_kv_write_batches_total", labels);
+  read_requests_c_ = metrics_->counter("veloce_kv_read_requests_total", labels);
+  write_requests_c_ = metrics_->counter("veloce_kv_write_requests_total", labels);
+  read_bytes_c_ = metrics_->counter("veloce_kv_read_bytes_total", labels);
+  write_bytes_c_ = metrics_->counter("veloce_kv_write_bytes_total", labels);
 
   engine_options.dir = "kvnode-" + std::to_string(id);
   // Blooms over logical MVCC keys: one probe covers a key's intent slot and
   // every version, so point reads can reject whole SSTables.
   engine_options.prefix_extractor = MvccPrefixExtractor;
   engine_options.obs = obs;
-  engine_options.obs.metrics = metrics;
+  engine_options.obs.metrics = metrics_.get();
   engine_options.metrics_instance = std::to_string(id);
   if (engine_options.env == nullptr) {
     // The node owns the filesystem (rather than letting the engine own a

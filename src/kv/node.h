@@ -95,6 +95,8 @@ class KVNode {
  private:
   const NodeId id_;
   const std::string region_;
+  /// Declared before the engine, which registers a collect callback in it.
+  obs::RegistryRef metrics_;
   /// The node (not the engine) owns the filesystem so a crash-restart can
   /// reopen the same files. Only set when the caller passed no env.
   std::unique_ptr<storage::Env> owned_env_;
@@ -104,7 +106,6 @@ class KVNode {
   mutable std::mutex tenant_bytes_mu_;
   std::unordered_map<TenantId, uint64_t> tenant_write_bytes_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::Counter* read_batches_c_ = nullptr;
   obs::Counter* write_batches_c_ = nullptr;
   obs::Counter* read_requests_c_ = nullptr;

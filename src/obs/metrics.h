@@ -168,6 +168,26 @@ class MetricsRegistry {
   uint64_t next_callback_id_ = 1;
 };
 
+/// A component's metric sink: the injected registry, else a private one
+/// this handle owns, so a component built without injection still reads
+/// back its own series per instance. Components that register collect
+/// callbacks declare their token after this member.
+class RegistryRef {
+ public:
+  explicit RegistryRef(MetricsRegistry* injected)
+      : owned_(injected == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
+        registry_(injected != nullptr ? injected : owned_.get()) {}
+  RegistryRef(const RegistryRef&) = delete;
+  RegistryRef& operator=(const RegistryRef&) = delete;
+
+  MetricsRegistry* get() const { return registry_; }
+  MetricsRegistry* operator->() const { return registry_; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
+};
+
 }  // namespace veloce::obs
 
 #endif  // VELOCE_OBS_METRICS_H_

@@ -13,15 +13,17 @@ namespace veloce::obs {
 /// for implicit globals: construct components with one ObsContext instead.
 ///
 /// A default-constructed ObsContext is the no-op instance: real clock,
-/// shared never-exported registry, tracing off. Call sites that don't care
-/// stay terse (`Engine::Open({...})`), and instrumented code never
-/// null-checks — it uses the `*_or_*()` accessors at construction time.
+/// no shared registry, tracing off. Call sites that don't care stay terse
+/// (`Engine::Open({...})`), and instrumented code never null-checks — it
+/// resolves the context at construction time (`clock_or_real()`,
+/// `obs::RegistryRef`).
 struct ObsContext {
   /// Time source. Null means the process RealClock.
   Clock* clock = nullptr;
-  /// Metric sink. Null means MetricsRegistry::Noop() — increments still
-  /// work but are never exported (and collide across instances; inject a
-  /// real registry wherever per-instance readback matters).
+  /// Metric sink. Null means each component records into a private
+  /// registry of its own (obs::RegistryRef), so per-instance readback still
+  /// works but nothing is shared. Only Session and the SQL executor fall
+  /// back to MetricsRegistry::Noop() instead (metrics_or_noop()).
   MetricsRegistry* metrics = nullptr;
   /// Trace sink. Null disables tracing (spans become no-ops).
   TraceCollector* traces = nullptr;

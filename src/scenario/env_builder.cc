@@ -51,16 +51,6 @@ ScenarioEnvBuilder& ScenarioEnvBuilder::WarmPool(size_t target) {
   return *this;
 }
 
-ScenarioEnvBuilder& ScenarioEnvBuilder::PrewarmProcess(bool prewarm) {
-  prewarm_ = prewarm;
-  return *this;
-}
-
-ScenarioEnvBuilder& ScenarioEnvBuilder::EnableAdmission(bool enabled) {
-  admission_ = enabled;
-  return *this;
-}
-
 ScenarioEnvBuilder& ScenarioEnvBuilder::ProcessMode(sql::ProcessMode mode) {
   mode_ = mode;
   return *this;
@@ -69,12 +59,6 @@ ScenarioEnvBuilder& ScenarioEnvBuilder::ProcessMode(sql::ProcessMode mode) {
 ScenarioEnvBuilder& ScenarioEnvBuilder::Tune(
     std::function<void(serverless::ServerlessCluster::Options*)> fn) {
   tune_ = std::move(fn);
-  return *this;
-}
-
-ScenarioEnvBuilder& ScenarioEnvBuilder::TuneEngine(
-    std::function<void(storage::EngineOptions*)> fn) {
-  tune_engine_ = std::move(fn);
   return *this;
 }
 
@@ -89,7 +73,6 @@ void ScenarioEnvBuilder::ApplyEnv(storage::EngineOptions* engine,
         base->get(), DeriveSeed(seed_, "fault"), obs_.metrics);
     engine->env = fault->get();
   }
-  if (tune_engine_) tune_engine_(engine);
 }
 
 namespace {
@@ -115,8 +98,6 @@ ServerlessEnv ScenarioEnvBuilder::BuildServerless() {
   opts.kv.node_regions = ExpandRegions(regions_, kv_nodes_);
   ApplyEnv(&opts.kv.engine_options, &env.base_env, &env.fault);
   opts.pool.warm_pool_target = warm_pool_;
-  opts.pool.prewarm_process = prewarm_;
-  opts.enable_admission = admission_;
   opts.obs = obs_;
   if (tune_) tune_(&opts);
   env.cluster = std::make_unique<serverless::ServerlessCluster>(std::move(opts));

@@ -70,8 +70,6 @@ class ScenarioEnvBuilder {
   /// (seeded from the master seed's "fault" stream).
   ScenarioEnvBuilder& WithFaultEnv(bool enabled = true);
   ScenarioEnvBuilder& WarmPool(size_t target);
-  ScenarioEnvBuilder& PrewarmProcess(bool prewarm);
-  ScenarioEnvBuilder& EnableAdmission(bool enabled);
   /// SQL execution mode for BuildSqlStack (colocated = Traditional,
   /// separate process = Serverless marshaling costs).
   ScenarioEnvBuilder& ProcessMode(sql::ProcessMode mode);
@@ -80,8 +78,6 @@ class ScenarioEnvBuilder {
   /// it can override anything except the derived seeds.
   ScenarioEnvBuilder& Tune(
       std::function<void(serverless::ServerlessCluster::Options*)> fn);
-  /// Same escape hatch for the engine template shared by all KV nodes.
-  ScenarioEnvBuilder& TuneEngine(std::function<void(storage::EngineOptions*)> fn);
 
   /// Full serverless deployment on its own sim loop: KV cluster + tenant
   /// control plane + KubeSim + warm pool + proxy + autoscaler, storage
@@ -108,11 +104,8 @@ class ScenarioEnvBuilder {
   veloce::Clock* clock_ = nullptr;
   bool fault_env_ = false;
   size_t warm_pool_ = 4;
-  bool prewarm_ = true;
-  bool admission_ = true;
   sql::ProcessMode mode_ = sql::ProcessMode::kSeparateProcess;
   std::function<void(serverless::ServerlessCluster::Options*)> tune_;
-  std::function<void(storage::EngineOptions*)> tune_engine_;
 };
 
 /// Splits the tenant's keyspace at each table boundary (catalog table ids

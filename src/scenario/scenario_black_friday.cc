@@ -78,7 +78,7 @@ class BlackFriday final : public Scenario {
       double provisioned;
     };
     std::vector<Sample> samples;
-    const int node_vcpus = 4;  // Autoscaler::Options default
+    const int node_vcpus = cluster.pool()->node_options().vcpus;
     tl.Every(15 * kSecond, total, "sample-capacity", [&] {
       const double provisioned =
           cluster.autoscaler()->CurrentNodes(tenant) * node_vcpus;

@@ -95,8 +95,8 @@ int Autoscaler::TargetNodes(kv::TenantId tenant) const {
       std::max(options_.avg_multiplier * AvgUsage(tenant),
                options_.peak_multiplier * PeakUsage(tenant));
   if (target_capacity <= 0.001) return 0;
-  return static_cast<int>(
-      std::ceil(target_capacity / static_cast<double>(options_.node_vcpus)));
+  const double node_vcpus = pool_->node_options().vcpus;
+  return static_cast<int>(std::ceil(target_capacity / node_vcpus));
 }
 
 int Autoscaler::CurrentNodes(kv::TenantId tenant) const {
@@ -141,15 +141,17 @@ void Autoscaler::Reconcile(kv::TenantId tenant, TenantState* state) {
       });
     }
   } else if (target < current && state->acquisitions_inflight == 0) {
-    // Drain the nodes with the fewest connections; ignore single-node
+    // Drain the nodes with the fewest connections, oldest first among
+    // equals (NodesForTenant is in node-id order); ignore single-node
     // jitter to avoid churn.
     int excess = current - target;
     if (excess <= 0) return;
     std::vector<sql::SqlNode*> nodes = pool_->NodesForTenant(tenant);
-    std::sort(nodes.begin(), nodes.end(),
-              [this](sql::SqlNode* a, sql::SqlNode* b) {
-                return proxy_->ConnectionsOnNode(a) < proxy_->ConnectionsOnNode(b);
-              });
+    std::stable_sort(nodes.begin(), nodes.end(),
+                     [this](sql::SqlNode* a, sql::SqlNode* b) {
+                       return proxy_->ConnectionsOnNode(a) <
+                              proxy_->ConnectionsOnNode(b);
+                     });
     for (int i = 0; i < excess && i < static_cast<int>(nodes.size()); ++i) {
       pool_->StartDraining(nodes[static_cast<size_t>(i)]);
     }

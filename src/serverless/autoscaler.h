@@ -14,8 +14,9 @@ namespace veloce::serverless {
 /// The autoscaler (Section 4.2.3): assigns each tenant a number of SQL
 /// nodes from its recent CPU usage. Target capacity is
 ///     max(4 x avg CPU over 5 min,  1.33 x peak CPU over 5 min)
-/// rounded up to whole 4-vCPU nodes — a moving average for stability plus
-/// an instantaneous maximum for responsiveness.
+/// rounded up to whole nodes of the pool's shape (SqlNode::Options::vcpus,
+/// 4 vCPUs by default) — a moving average for stability plus an
+/// instantaneous maximum for responsiveness.
 ///
 /// Metrics arrive by direct scrape every 3 seconds (the Section 4.3.2
 /// optimization; the legacy Prometheus pipeline added 20-30 s of reaction
@@ -27,7 +28,6 @@ class Autoscaler {
     Nanos window = 5 * kMinute;
     double avg_multiplier = 4.0;
     double peak_multiplier = 1.33;
-    int node_vcpus = 4;
     /// Suspend (scale to zero) after this long with zero usage and no
     /// client connections.
     Nanos suspend_after = 5 * kMinute;

@@ -13,15 +13,11 @@ serverless::KubeSim::Options SeededKube(serverless::KubeSim::Options kube,
 
 ServerlessCluster::ServerlessCluster(Options options)
     : options_(options),
-      owned_metrics_(options.obs.metrics == nullptr
-                         ? std::make_unique<obs::MetricsRegistry>()
-                         : nullptr),
+      metrics_(options.obs.metrics),
       owned_traces_(options.obs.traces == nullptr
                         ? std::make_unique<obs::TraceCollector>()
                         : nullptr),
-      obs_{loop_.clock(),
-           options.obs.metrics != nullptr ? options.obs.metrics
-                                          : owned_metrics_.get(),
+      obs_{loop_.clock(), metrics_.get(),
            options.obs.traces != nullptr ? options.obs.traces
                                          : owned_traces_.get()},
       kube_(&loop_, SeededKube(options.kube, options.seed)),
@@ -43,38 +39,36 @@ ServerlessCluster::ServerlessCluster(Options options)
                                         controller_.get(), options_.pool);
   options_.proxy.obs = obs_;
   proxy_ = std::make_unique<Proxy>(&loop_, pool_.get(), options_.proxy);
-  // Node deaths invalidate the proxy's sessions on the dead node before any
-  // connection can touch a freed Session.
+  // A node leaving service invalidates the proxy's sessions on it before
+  // any connection can touch a freed Session.
   pool_->SetNodeFailureListener(
       [this](sql::SqlNode* node) { proxy_->OnNodeFailure(node); });
-  if (options_.enable_admission) {
-    for (kv::NodeId id = 0; id < static_cast<kv::NodeId>(kv_->num_nodes()); ++id) {
-      admission::NodeAdmissionController::Options opts = options_.admission;
-      opts.obs = obs_;
-      opts.instance = std::to_string(id);
-      // Sync-only admission: no periodic tasks, so loop_.Run() still drains.
-      opts.background_tasks = false;
-      auto cpu = std::make_unique<sim::VirtualCpu>(&loop_, opts.vcpus, kMilli,
-                                                   obs_, std::to_string(id));
-      admission_[id] = std::make_unique<admission::NodeAdmissionController>(
-          &loop_, cpu.get(), opts);
-      admission_cpus_.push_back(std::move(cpu));
-    }
-    kv_->set_batch_interceptor(
-        [this](kv::NodeId leaseholder, const kv::BatchRequest& req) {
-          auto it = admission_.find(leaseholder);
-          if (it == admission_.end()) return Status::OK();
-          admission::KvWork work;
-          work.tenant_id = req.tenant_id;
-          work.is_write = !req.IsReadOnly();
-          work.write_bytes = work.is_write ? req.PayloadBytes() : 0;
-          // Rough per-request execution estimate feeding the slot model.
-          work.cpu_cost = static_cast<Nanos>(req.requests.size()) * 20 * kMicro;
-          work.trace = req.trace;
-          it->second->AdmitSync(work);
-          return Status::OK();
-        });
+  for (kv::NodeId id = 0; id < static_cast<kv::NodeId>(kv_->num_nodes()); ++id) {
+    admission::NodeAdmissionController::Options opts = options_.admission;
+    opts.obs = obs_;
+    opts.instance = std::to_string(id);
+    // Sync-only admission: no periodic tasks, so loop_.Run() still drains.
+    opts.background_tasks = false;
+    auto cpu = std::make_unique<sim::VirtualCpu>(&loop_, opts.vcpus, kMilli,
+                                                 obs_, std::to_string(id));
+    admission_[id] = std::make_unique<admission::NodeAdmissionController>(
+        &loop_, cpu.get(), opts);
+    admission_cpus_.push_back(std::move(cpu));
   }
+  kv_->set_batch_interceptor(
+      [this](kv::NodeId leaseholder, const kv::BatchRequest& req) {
+        auto it = admission_.find(leaseholder);
+        if (it == admission_.end()) return Status::OK();
+        admission::KvWork work;
+        work.tenant_id = req.tenant_id;
+        work.is_write = !req.IsReadOnly();
+        work.write_bytes = work.is_write ? req.PayloadBytes() : 0;
+        // Rough per-request execution estimate feeding the slot model.
+        work.cpu_cost = static_cast<Nanos>(req.requests.size()) * 20 * kMicro;
+        work.trace = req.trace;
+        it->second->AdmitSync(work);
+        return Status::OK();
+      });
   autoscaler_ = std::make_unique<Autoscaler>(
       &loop_, pool_.get(), proxy_.get(),
       [this](kv::TenantId tenant) {
@@ -127,38 +121,40 @@ StatusOr<tenant::TenantMetadata> ServerlessCluster::CreateTenant(
   return meta;
 }
 
-StatusOr<Proxy::Connection*> ServerlessCluster::ConnectSync(
-    kv::TenantId tenant, const std::string& client_ip) {
-  StatusOr<Proxy::Connection*> result = Status::DeadlineExceeded("connect never completed");
+namespace {
+/// Starts an asynchronous operation with a completion callback, then steps
+/// the sim loop until the callback fires (bounded by a sim-time cap).
+template <typename T, typename Start>
+StatusOr<T> RunToCompletion(sim::EventLoop* loop, const char* timeout_message,
+                            Start start) {
+  StatusOr<T> result = Status::DeadlineExceeded(timeout_message);
   bool done = false;
-  proxy_->Connect(tenant, client_ip, [&](StatusOr<Proxy::Connection*> conn) {
-    result = std::move(conn);
+  start([&](StatusOr<T> r) {
+    result = std::move(r);
     done = true;
   });
-  // Run the loop until the callback fires (bounded by a sim-time cap).
-  const Nanos deadline = loop_.Now() + 10 * kMinute;
-  while (!done && loop_.Now() < deadline && loop_.pending_events() > 0) {
-    loop_.Step();
+  const Nanos deadline = loop->Now() + 10 * kMinute;
+  while (!done && loop->Now() < deadline && loop->pending_events() > 0) {
+    loop->Step();
   }
   return result;
+}
+}  // namespace
+
+StatusOr<Proxy::Connection*> ServerlessCluster::ConnectSync(
+    kv::TenantId tenant, const std::string& client_ip) {
+  return RunToCompletion<Proxy::Connection*>(
+      &loop_, "connect never completed",
+      [&](auto on_done) { proxy_->Connect(tenant, client_ip, on_done); });
 }
 
 StatusOr<sql::ResultSet> ServerlessCluster::ExecuteSync(Proxy::Connection* conn,
                                                         const std::string& sql,
                                                         bool idempotent) {
-  StatusOr<sql::ResultSet> result =
-      Status::DeadlineExceeded("execute never completed");
-  bool done = false;
-  proxy_->ExecuteWithFailover(conn, sql, idempotent,
-                              [&](StatusOr<sql::ResultSet> r) {
-                                result = std::move(r);
-                                done = true;
-                              });
-  const Nanos deadline = loop_.Now() + 10 * kMinute;
-  while (!done && loop_.Now() < deadline && loop_.pending_events() > 0) {
-    loop_.Step();
-  }
-  return result;
+  return RunToCompletion<sql::ResultSet>(
+      &loop_, "execute never completed", [&](auto on_done) {
+        proxy_->ExecuteWithFailover(conn, sql, idempotent, on_done);
+      });
 }
 
 Status ServerlessCluster::CrashAndRestartKvNode(kv::NodeId id) {

@@ -42,9 +42,9 @@ class ServerlessCluster {
     obs::ObsContext obs;
     /// Per-KV-node admission control, attached as a KV batch interceptor
     /// (synchronous AdmitSync path — no background tasks, so loop().Run()
-    /// still drains). obs/instance/background_tasks are overridden per node.
+    /// still drains). obs/instance/background_tasks are overridden per node;
+    /// `admission.enabled = false` turns it off.
     admission::NodeAdmissionController::Options admission;
-    bool enable_admission = true;
     /// Master randomness seed. Sub-seeds for every stochastic component
     /// (KubeSim pod jitter, pool stamp jitter, proxy failover jitter) are
     /// derived per stream via common/random.h DeriveSeed, so one seed
@@ -68,8 +68,8 @@ class ServerlessCluster {
   const obs::ObsContext& obs() const { return obs_; }
 
   // --- admission -----------------------------------------------------------
-  /// The admission controller guarding KV node `id` (null when admission is
-  /// disabled or the node was added after construction).
+  /// The admission controller guarding KV node `id` (null when the node was
+  /// added after construction).
   admission::NodeAdmissionController* admission(kv::NodeId id) {
     auto it = admission_.find(id);
     return it == admission_.end() ? nullptr : it->second.get();
@@ -132,7 +132,7 @@ class ServerlessCluster {
   sim::EventLoop loop_;
   // Telemetry plumbing: declared before (so destroyed after) every
   // component that registers series or collect callbacks against it.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   std::unique_ptr<obs::TraceCollector> owned_traces_;
   obs::ObsContext obs_;  // resolved: sim clock + registry + collector
   /// Deterministic background flush/compaction for every KV engine: work

@@ -14,18 +14,14 @@ SqlNodePool::SqlNodePool(sim::EventLoop* loop, KubeSim* kube,
       cluster_(cluster),
       controller_(controller),
       options_(options),
-      rng_(options.seed) {
+      rng_(options.seed),
+      metrics_(options.obs.metrics) {
   InitMetrics();
   kube_->SetPodFailureListener([this](PodId pod) { OnPodFailure(pod); });
   Replenish();
 }
 
 void SqlNodePool::InitMetrics() {
-  metrics_ = options_.obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   pod_starts_c_ = metrics_->counter("veloce_serverless_pod_starts_total");
   node_failures_c_ = metrics_->counter("veloce_serverless_node_failures_total");
   acquire_drain_c_ =
@@ -52,11 +48,31 @@ void SqlNodePool::InitMetrics() {
     metrics_->gauge("veloce_serverless_active_nodes")
         ->Set(static_cast<double>(active_.size()));
     // Connections (sessions) per SQL node — the proxy's balancing signal.
-    for (const auto& [node, managed] : active_) {
+    for (const auto& [id, managed] : active_) {
       metrics_
-          ->gauge("veloce_serverless_node_sessions",
-                  {{"sql_node", std::to_string(node->id())}})
-          ->Set(static_cast<double>(node->num_sessions()));
+          ->gauge("veloce_serverless_node_sessions", {{"sql_node", std::to_string(id)}})
+          ->Set(static_cast<double>(managed->node->num_sessions()));
+    }
+  });
+}
+
+void SqlNodePool::StartNode(
+    bool boot, std::function<void(std::unique_ptr<ManagedNode>, Nanos)> on_node) {
+  pod_starts_c_->Inc();
+  kube_->CreatePod([this, boot, on_node = std::move(on_node)](PodId pod) {
+    const Nanos pod_ready = loop_->Now();
+    auto build = [this, boot, on_node, pod, pod_ready] {
+      auto managed = std::make_unique<ManagedNode>();
+      managed->pod = pod;
+      managed->node = std::make_unique<sql::SqlNode>(
+          next_node_id_++, options_.node_options, loop_->clock());
+      if (boot) VELOCE_CHECK_OK(managed->node->StartProcess());
+      on_node(std::move(managed), pod_ready);
+    };
+    if (boot) {
+      kube_->StartProcess(pod, build);
+    } else {
+      build();
     }
   });
 }
@@ -65,26 +81,12 @@ void SqlNodePool::Replenish() {
   while (warm_.size() + static_cast<size_t>(replenish_inflight_) <
          options_.warm_pool_target) {
     ++replenish_inflight_;
-    pod_starts_c_->Inc();
-    kube_->CreatePod([this](PodId pod) {
-      auto finish = [this, pod]() {
-        auto managed = std::make_unique<ManagedNode>();
-        managed->pod = pod;
-        managed->node = std::make_unique<sql::SqlNode>(
-            next_node_id_++, options_.node_options, loop_->clock());
-        if (options_.prewarm_process) {
-          // Optimized flow: the process boots *before* a tenant is known.
-          VELOCE_CHECK_OK(managed->node->StartProcess());
-        }
-        warm_.push_back(std::move(managed));
-        --replenish_inflight_;
-      };
-      if (options_.prewarm_process) {
-        kube_->StartProcess(pod, finish);
-      } else {
-        finish();
-      }
-    });
+    // Optimized flow: the process boots *before* a tenant is known.
+    StartNode(options_.prewarm_process,
+              [this](std::unique_ptr<ManagedNode> managed, Nanos /*pod_ready*/) {
+                warm_.push_back(std::move(managed));
+                --replenish_inflight_;
+              });
   }
 }
 
@@ -97,173 +99,157 @@ Nanos SqlNodePool::StampLatency() {
   return latency;
 }
 
-void SqlNodePool::Acquire(kv::TenantId tenant,
-                          std::function<void(StatusOr<sql::SqlNode*>)> on_ready) {
+SqlNodePool::ManagedNode* SqlNodePool::Activate(std::unique_ptr<ManagedNode> managed) {
+  ManagedNode* raw = managed.get();
+  active_[raw->node->id()] = std::move(managed);
+  return raw;
+}
+
+void SqlNodePool::Acquire(kv::TenantId tenant, ReadyCallback on_ready) {
   // (1) Un-drain a draining node of this tenant.
-  for (auto& [node, managed] : active_) {
-    if (managed->draining && node->tenant_id() == tenant &&
+  for (auto& [id, managed] : active_) {
+    sql::SqlNode* node = managed->node.get();
+    if (node->tenant_id() == tenant &&
         node->state() == sql::SqlNode::State::kDraining) {
-      managed->draining = false;
       node->Undrain();
       acquire_drain_c_->Inc();
-      loop_->Schedule(0, [node = node, cb = std::move(on_ready)]() mutable { cb(node); });
+      loop_->Schedule(0, [node, cb = std::move(on_ready)]() mutable { cb(node); });
       return;
     }
   }
 
+  const Nanos t0 = loop_->Now();
   // (2) Pre-warmed node.
   if (!warm_.empty()) {
     acquire_warm_c_->Inc();
-    const Nanos t0 = loop_->Now();
     std::unique_ptr<ManagedNode> managed = std::move(warm_.front());
     warm_.pop_front();
     Replenish();
-    ManagedNode* raw = managed.get();
-    sql::SqlNode* node = raw->node.get();
-    active_[node] = std::move(managed);
+    ManagedNode* raw = Activate(std::move(managed));
     if (options_.prewarm_process) {
       // Certificate write + fs watch + KV init.
-      loop_->Schedule(StampLatency(), [this, raw, tenant, t0,
-                                               cb = std::move(on_ready)]() mutable {
-        stage_stamp_h_->Record(loop_->Now() - t0);
-        acquire_warm_h_->Record(loop_->Now() - t0);
-        FinishStamp(raw, tenant, std::move(cb));
-      });
-    } else {
-      // Unoptimized: boot the process now, plus the TCP-reset retry
-      // penalty (the proxy's connection attempts bounce until the
-      // listener opens, roughly doubling observed startup).
-      const Nanos penalty = kube_->options().process_start_latency;
-      kube_->StartProcess(raw->pod, [this, raw, tenant, penalty, t0,
-                                     cb = std::move(on_ready)]() mutable {
-        VELOCE_CHECK_OK(raw->node->StartProcess());
-        stage_process_start_h_->Record(loop_->Now() - t0);
-        const Nanos t_proc = loop_->Now();
-        loop_->Schedule(penalty + StampLatency(),
-                        [this, raw, tenant, t0, t_proc, cb = std::move(cb)]() mutable {
-                          stage_stamp_h_->Record(loop_->Now() - t_proc);
-                          acquire_warm_h_->Record(loop_->Now() - t0);
-                          FinishStamp(raw, tenant, std::move(cb));
-                        });
-      });
+      Stamp(raw, tenant, /*delay=*/0, t0, acquire_warm_h_, std::move(on_ready));
+      return;
     }
+    // Unoptimized: boot the process now, plus the TCP-reset retry penalty
+    // (the proxy's connection attempts bounce until the listener opens,
+    // roughly doubling observed startup). A node killed meanwhile stays
+    // stopped, and its stamp fails.
+    kube_->StartProcess(raw->pod, [this, raw, tenant, t0,
+                                   cb = std::move(on_ready)]() mutable {
+      (void)raw->node->StartProcess();
+      stage_process_start_h_->Record(loop_->Now() - t0);
+      Stamp(raw, tenant, kube_->options().process_start_latency, t0,
+            acquire_warm_h_, std::move(cb));
+    });
     return;
   }
 
   // (3) Pool empty: create a cold pod end to end.
   acquire_cold_c_->Inc();
-  pod_starts_c_->Inc();
-  const Nanos t0 = loop_->Now();
-  kube_->CreatePod([this, tenant, t0, cb = std::move(on_ready)](PodId pod) mutable {
-    stage_pod_create_h_->Record(loop_->Now() - t0);
-    const Nanos t_pod = loop_->Now();
-    kube_->StartProcess(pod, [this, pod, tenant, t0, t_pod,
-                              cb = std::move(cb)]() mutable {
-      stage_process_start_h_->Record(loop_->Now() - t_pod);
-      auto managed = std::make_unique<ManagedNode>();
-      managed->pod = pod;
-      managed->node = std::make_unique<sql::SqlNode>(next_node_id_++,
-                                                     options_.node_options,
-                                                     loop_->clock());
-      VELOCE_CHECK_OK(managed->node->StartProcess());
-      ManagedNode* raw = managed.get();
-      active_[raw->node.get()] = std::move(managed);
-      const Nanos t_proc = loop_->Now();
-      loop_->Schedule(StampLatency(),
-                      [this, raw, tenant, t0, t_proc, cb = std::move(cb)]() mutable {
-                        stage_stamp_h_->Record(loop_->Now() - t_proc);
-                        acquire_cold_h_->Record(loop_->Now() - t0);
-                        FinishStamp(raw, tenant, std::move(cb));
-                      });
-    });
+  StartNode(/*boot=*/true, [this, tenant, t0, cb = std::move(on_ready)](
+                               std::unique_ptr<ManagedNode> managed,
+                               Nanos pod_ready) mutable {
+    stage_pod_create_h_->Record(pod_ready - t0);
+    stage_process_start_h_->Record(loop_->Now() - pod_ready);
+    Stamp(Activate(std::move(managed)), tenant, /*delay=*/0, t0, acquire_cold_h_,
+          std::move(cb));
   });
 }
 
-void SqlNodePool::FinishStamp(ManagedNode* managed, kv::TenantId tenant,
-                              std::function<void(StatusOr<sql::SqlNode*>)> on_ready) {
-  auto cert_or = controller_->IssueCert(tenant);
-  if (!cert_or.ok()) {
-    on_ready(cert_or.status());
-    return;
-  }
-  Status s = managed->node->StampTenant(service_, cluster_, *cert_or);
-  if (!s.ok()) {
-    on_ready(s);
-    return;
-  }
-  on_ready(managed->node.get());
+void SqlNodePool::Stamp(ManagedNode* managed, kv::TenantId tenant, Nanos delay,
+                        Nanos t0, obs::HistogramMetric* acquire_h,
+                        ReadyCallback on_ready) {
+  const Nanos stage_start = loop_->Now();
+  loop_->Schedule(delay + StampLatency(), [this, managed, tenant, t0, stage_start,
+                                           acquire_h,
+                                           cb = std::move(on_ready)]() mutable {
+    stage_stamp_h_->Record(loop_->Now() - stage_start);
+    acquire_h->Record(loop_->Now() - t0);
+    sql::SqlNode* node = managed->node.get();
+    auto cert_or = controller_->IssueCert(tenant);
+    Status s = cert_or.ok() ? node->StampTenant(service_, cluster_, *cert_or)
+                            : cert_or.status();
+    if (!s.ok()) {
+      // A node that cannot serve the tenant leaves service (a kill during
+      // the stamp already retired it).
+      auto it = active_.find(node->id());
+      if (it != active_.end()) Retire(std::move(active_.extract(it).mapped()), false);
+      cb(s);
+      return;
+    }
+    cb(node);
+  });
 }
 
 void SqlNodePool::StartDraining(sql::SqlNode* node) {
-  auto it = active_.find(node);
-  if (it == active_.end()) return;
-  it->second->draining = true;
-  it->second->drain_started = loop_->Now();
+  if (active_.count(node->id()) == 0) return;
   node->StartDraining();
   // Poll until sessions are gone or the drain timeout passes; a reused
-  // (un-drained) or removed node cancels the poll implicitly.
+  // (un-drained) or retired node cancels the poll implicitly.
   const Nanos deadline = loop_->Now() + options_.drain_timeout;
-  loop_->Schedule(10 * kSecond, [this, node, deadline] { DrainPoll(node, deadline); });
+  loop_->Schedule(10 * kSecond,
+                  [this, id = node->id(), deadline] { DrainPoll(id, deadline); });
 }
 
-void SqlNodePool::DrainPoll(sql::SqlNode* node, Nanos deadline) {
-  auto it = active_.find(node);
-  if (it == active_.end() || !it->second->draining) return;
+void SqlNodePool::DrainPoll(uint64_t node_id, Nanos deadline) {
+  auto it = active_.find(node_id);
+  if (it == active_.end()) return;
+  sql::SqlNode* node = it->second->node.get();
+  if (node->state() != sql::SqlNode::State::kDraining) return;
   if (node->num_sessions() == 0 || loop_->Now() >= deadline) {
-    Remove(node);
+    Retire(std::move(active_.extract(it).mapped()), /*killed=*/false);
     return;
   }
-  loop_->Schedule(10 * kSecond, [this, node, deadline] { DrainPoll(node, deadline); });
+  loop_->Schedule(10 * kSecond,
+                  [this, node_id, deadline] { DrainPoll(node_id, deadline); });
 }
 
 void SqlNodePool::KillNode(sql::SqlNode* node) {
-  auto it = active_.find(node);
+  auto it = active_.find(node->id());
   if (it == active_.end()) return;
   kube_->KillPod(it->second->pod);  // fires OnPodFailure synchronously
 }
 
 void SqlNodePool::OnPodFailure(PodId pod) {
-  // A warm (tenant-less) node dying is just pool shrinkage; replenish.
+  // A warm (tenant-less) node dying is just pool shrinkage.
   for (auto it = warm_.begin(); it != warm_.end(); ++it) {
-    if ((*it)->pod == pod) {
-      node_failures_c_->Inc();
-      (*it)->node->Stop();
-      graveyard_.push_back(std::move(*it));
-      warm_.erase(it);
-      Replenish();
-      return;
-    }
+    if ((*it)->pod != pod) continue;
+    node_failures_c_->Inc();
+    std::unique_ptr<ManagedNode> managed = std::move(*it);
+    warm_.erase(it);
+    Retire(std::move(managed), /*killed=*/true);
+    return;
   }
   for (auto it = active_.begin(); it != active_.end(); ++it) {
     if (it->second->pod != pod) continue;
     node_failures_c_->Inc();
-    sql::SqlNode* node = it->first;
-    VLOG_WARN << "serverless: SQL node " << node->id() << " (pod " << pod
-              << ") died";
-    node->Stop();  // sessions are gone; state -> kStopped
-    // Keep the dead node's memory alive: proxy connections still hold raw
-    // SqlNode* and will inspect its state while failing over.
-    graveyard_.push_back(std::move(it->second));
-    active_.erase(it);
-    if (node_failure_listener_) node_failure_listener_(node);
-    Replenish();
+    VLOG_WARN << "serverless: SQL node " << it->first << " (pod " << pod << ") died";
+    Retire(std::move(active_.extract(it).mapped()), /*killed=*/true);
     return;
   }
 }
 
 void SqlNodePool::Remove(sql::SqlNode* node) {
-  auto it = active_.find(node);
+  auto it = active_.find(node->id());
   if (it == active_.end()) return;
-  kube_->DeletePod(it->second->pod);
-  node->Stop();
-  active_.erase(it);
+  Retire(std::move(active_.extract(it).mapped()), /*killed=*/false);
+}
+
+void SqlNodePool::Retire(std::unique_ptr<ManagedNode> managed, bool killed) {
+  sql::SqlNode* node = managed->node.get();
+  node->Stop();  // sessions are gone; state -> kStopped
+  if (!killed) kube_->DeletePod(managed->pod);
+  graveyard_.push_back(std::move(managed));
+  if (node_failure_listener_) node_failure_listener_(node);
+  Replenish();
 }
 
 std::vector<sql::SqlNode*> SqlNodePool::NodesForTenant(kv::TenantId tenant) const {
   std::vector<sql::SqlNode*> out;
-  for (const auto& [node, managed] : active_) {
-    if (node->tenant_id() == tenant && !managed->draining &&
-        node->state() == sql::SqlNode::State::kReady) {
+  for (const auto& [id, managed] : active_) {
+    sql::SqlNode* node = managed->node.get();
+    if (node->tenant_id() == tenant && node->state() == sql::SqlNode::State::kReady) {
       out.push_back(node);
     }
   }
@@ -272,8 +258,8 @@ std::vector<sql::SqlNode*> SqlNodePool::NodesForTenant(kv::TenantId tenant) cons
 
 size_t SqlNodePool::num_ready_nodes() const {
   size_t count = 0;
-  for (const auto& [node, managed] : active_) {
-    if (node->state() == sql::SqlNode::State::kReady && !managed->draining) ++count;
+  for (const auto& [id, managed] : active_) {
+    if (managed->node->state() == sql::SqlNode::State::kReady) ++count;
   }
   return count;
 }

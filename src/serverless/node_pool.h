@@ -2,13 +2,12 @@
 #define VELOCE_SERVERLESS_NODE_POOL_H_
 
 #include <deque>
-
-#include "common/random.h"
 #include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "serverless/kube_sim.h"
@@ -56,30 +55,30 @@ class SqlNodePool {
               tenant::AuthorizedKvService* service, kv::KVCluster* cluster,
               tenant::TenantController* controller, Options options);
 
+  using ReadyCallback = std::function<void(StatusOr<sql::SqlNode*>)>;
+
   /// Asynchronously acquires a ready SQL node for `tenant`. Prefers (1) a
   /// draining node of the same tenant (cheapest — instant un-drain), then
   /// (2) a pre-warmed node, then (3) a cold pod. The pool replenishes
-  /// itself in the background.
-  void Acquire(kv::TenantId tenant,
-               std::function<void(StatusOr<sql::SqlNode*>)> on_ready);
+  /// itself in the background. A node whose stamp fails (e.g. the tenant
+  /// was destroyed) is retired and `on_ready` gets the error.
+  void Acquire(kv::TenantId tenant, ReadyCallback on_ready);
 
-  /// Marks a node draining; it stops once its sessions are gone or the
-  /// drain timeout passes. Draining nodes of the same tenant are reused by
-  /// Acquire before warm ones.
+  /// Marks a node draining; it is retired once its sessions are gone or
+  /// the drain timeout passes. Draining nodes of the same tenant are reused
+  /// by Acquire before warm ones.
   void StartDraining(sql::SqlNode* node);
 
-  /// Immediately removes the node (rolling upgrade / scale-to-zero end).
+  /// Immediately retires the node (rolling upgrade / scale-to-zero end).
   void Remove(sql::SqlNode* node);
 
   /// Fault hook: abruptly kills the node's pod (KubeSim::KillPod), as if
-  /// the container crashed mid-request. The node object itself is kept
-  /// alive in a graveyard — stopped, session-less — so raw pointers held
-  /// by proxy connections stay valid while they fail over.
+  /// the container crashed mid-request; the node is retired like any other.
   void KillNode(sql::SqlNode* node);
 
-  /// Invoked when a pod dies unexpectedly (KillPod), with the SQL node that
-  /// was running in it. The proxy hooks this to invalidate the sessions it
-  /// had on the node before retrying elsewhere.
+  /// Invoked whenever a node leaves service — killed, drained out, removed,
+  /// or failed to stamp — with the (stopped) node. The proxy hooks this to
+  /// invalidate the sessions it had on the node before retrying elsewhere.
   void SetNodeFailureListener(std::function<void(sql::SqlNode*)> listener) {
     node_failure_listener_ = std::move(listener);
   }
@@ -87,6 +86,8 @@ class SqlNodePool {
   std::vector<sql::SqlNode*> NodesForTenant(kv::TenantId tenant) const;
   size_t warm_available() const { return warm_.size(); }
   size_t num_ready_nodes() const;
+  /// The shape every node of this pool is built with.
+  const sql::SqlNode::Options& node_options() const { return options_.node_options; }
 
   /// Refills the warm pool up to the target (runs automatically after each
   /// acquisition; exposed for tests).
@@ -96,13 +97,23 @@ class SqlNodePool {
   struct ManagedNode {
     std::unique_ptr<sql::SqlNode> node;
     PodId pod = 0;
-    bool draining = false;
-    Nanos drain_started = 0;
   };
 
-  void FinishStamp(ManagedNode* managed, kv::TenantId tenant,
-                   std::function<void(StatusOr<sql::SqlNode*>)> on_ready);
-  void DrainPoll(sql::SqlNode* node, Nanos deadline);
+  /// Creates a pod and builds its SqlNode once the pod is up; with `boot`
+  /// the process starts first, so the node arrives kWarm. `on_node` also
+  /// gets the time the pod came up.
+  void StartNode(bool boot,
+                 std::function<void(std::unique_ptr<ManagedNode>, Nanos)> on_node);
+  /// Moves the node into the active set.
+  ManagedNode* Activate(std::unique_ptr<ManagedNode> managed);
+  /// The stamp step: after `delay` plus StampLatency(), records the stage
+  /// and the path's acquire latency (since `t0`), then stamps the tenant.
+  void Stamp(ManagedNode* managed, kv::TenantId tenant, Nanos delay, Nanos t0,
+             obs::HistogramMetric* acquire_h, ReadyCallback on_ready);
+  /// The one way out of service: stop the node, delete its pod unless it
+  /// was killed, keep it in the graveyard, notify the listener, replenish.
+  void Retire(std::unique_ptr<ManagedNode> managed, bool killed);
+  void DrainPoll(uint64_t node_id, Nanos deadline);
   void OnPodFailure(PodId pod);
   Nanos StampLatency();
   void InitMetrics();
@@ -116,15 +127,16 @@ class SqlNodePool {
   Random rng_;
   uint64_t next_node_id_ = 1;
   std::deque<std::unique_ptr<ManagedNode>> warm_;
-  std::map<sql::SqlNode*, std::unique_ptr<ManagedNode>> active_;
-  /// Crashed nodes, kept (stopped) so outstanding raw pointers in proxy
+  /// Nodes with a tenant (stamping, ready or draining), by node id. The
+  /// node's own SqlNode::State says which.
+  std::map<uint64_t, std::unique_ptr<ManagedNode>> active_;
+  /// Retired nodes, kept (stopped) so raw pointers held by proxy
   /// connections never dangle while their owners fail over.
   std::vector<std::unique_ptr<ManagedNode>> graveyard_;
   std::function<void(sql::SqlNode*)> node_failure_listener_;
   int replenish_inflight_ = 0;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* pod_starts_c_ = nullptr;
   obs::Counter* node_failures_c_ = nullptr;
   obs::Counter* acquire_drain_c_ = nullptr;

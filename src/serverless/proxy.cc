@@ -5,12 +5,11 @@
 namespace veloce::serverless {
 
 Proxy::Proxy(sim::EventLoop* loop, SqlNodePool* pool, Options options)
-    : loop_(loop), pool_(pool), options_(options), rng_(options.seed) {
-  metrics_ = options_.obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+    : loop_(loop),
+      pool_(pool),
+      options_(options),
+      rng_(options.seed),
+      metrics_(options.obs.metrics) {
   connections_c_ = metrics_->counter("veloce_serverless_connections_total");
   migrations_c_ = metrics_->counter("veloce_serverless_migrations_total");
   rejected_c_ = metrics_->counter("veloce_serverless_rejected_connects_total");
@@ -72,19 +71,20 @@ sql::SqlNode* Proxy::PickLeastConnections(
   return best;
 }
 
-Status Proxy::FinishConnect(kv::TenantId tenant, sql::SqlNode* node,
-                            std::function<void(StatusOr<Connection*>)>& on_connected) {
-  auto session_or = node->NewSession();
-  if (!session_or.ok()) return session_or.status();
-  auto conn = std::make_unique<Connection>();
-  conn->id = next_connection_id_++;
-  conn->tenant = tenant;
+void Proxy::PickOrAcquire(kv::TenantId tenant, SqlNodePool::ReadyCallback on_node) {
+  const std::vector<sql::SqlNode*> nodes = pool_->NodesForTenant(tenant);
+  if (nodes.empty()) {
+    // Scale-from-zero: pull a node through the pool (the cold start path).
+    pool_->Acquire(tenant, std::move(on_node));
+    return;
+  }
+  on_node(PickLeastConnections(nodes));
+}
+
+Status Proxy::Attach(Connection* conn, sql::SqlNode* node) {
+  VELOCE_ASSIGN_OR_RETURN(sql::Session * session, node->NewSession());
   conn->node = node;
-  conn->session = *session_or;
-  Connection* raw = conn.get();
-  connections_[raw->id] = std::move(conn);
-  connections_c_->Inc();
-  on_connected(raw);
+  conn->session = session;
   return Status::OK();
 }
 
@@ -110,22 +110,20 @@ void Proxy::Connect(kv::TenantId tenant, const std::string& client_ip,
     return;
   }
 
-  const std::vector<sql::SqlNode*> nodes = pool_->NodesForTenant(tenant);
-  if (!nodes.empty()) {
-    sql::SqlNode* node = PickLeastConnections(nodes);
-    Status s = FinishConnect(tenant, node, on_connected);
-    if (!s.ok()) on_connected(s);
-    return;
-  }
-  // Scale-from-zero: pull a node through the pool (the cold start path).
-  pool_->Acquire(tenant, [this, tenant, on_connected = std::move(on_connected)](
-                             StatusOr<sql::SqlNode*> node_or) mutable {
-    if (!node_or.ok()) {
-      on_connected(node_or.status());
+  PickOrAcquire(tenant, [this, tenant, on_connected = std::move(on_connected)](
+                            StatusOr<sql::SqlNode*> node_or) mutable {
+    auto conn = std::make_unique<Connection>();
+    conn->tenant = tenant;
+    const Status s = node_or.ok() ? Attach(conn.get(), *node_or) : node_or.status();
+    if (!s.ok()) {
+      on_connected(s);
       return;
     }
-    Status s = FinishConnect(tenant, *node_or, on_connected);
-    if (!s.ok()) on_connected(s);
+    conn->id = next_connection_id_++;
+    Connection* raw = conn.get();
+    connections_[raw->id] = std::move(conn);
+    connections_c_->Inc();
+    on_connected(raw);
   });
 }
 
@@ -254,34 +252,21 @@ void Proxy::ExecuteAttempt(uint64_t conn_id, const std::string& sql,
   const kv::TenantId tenant = conn->tenant;
   loop_->Schedule(backoff, [this, conn_id, tenant, sql, idempotent, attempt,
                             done = std::move(done)]() mutable {
-    auto reattach = [this, conn_id, sql, idempotent, attempt,
-                     done = std::move(done)](
-                        StatusOr<sql::SqlNode*> node_or) mutable {
+    PickOrAcquire(tenant, [this, conn_id, sql, idempotent, attempt,
+                           done = std::move(done)](
+                              StatusOr<sql::SqlNode*> node_or) mutable {
       auto it = connections_.find(conn_id);
       if (it == connections_.end()) {
         done(Status::NotFound("connection closed during failover"));
         return;
       }
-      Connection* conn = it->second.get();
-      if (node_or.ok()) {
-        auto session_or = (*node_or)->NewSession();
-        if (session_or.ok()) {
-          conn->node = *node_or;
-          conn->session = *session_or;
-          failovers_c_->Inc();
-        }
+      if (node_or.ok() && Attach(it->second.get(), *node_or).ok()) {
+        failovers_c_->Inc();
       }
       // Re-enter whether or not the reacquire worked: a failed one backs
       // off again until attempts or budget run out.
       ExecuteAttempt(conn_id, sql, idempotent, attempt + 1, std::move(done));
-    };
-    const std::vector<sql::SqlNode*> nodes = pool_->NodesForTenant(tenant);
-    if (!nodes.empty()) {
-      reattach(PickLeastConnections(nodes));
-    } else {
-      // Every node for this tenant is gone: cold-start one through the pool.
-      pool_->Acquire(tenant, std::move(reattach));
-    }
+    });
   });
 }
 

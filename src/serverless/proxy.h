@@ -94,8 +94,9 @@ class Proxy {
                            bool idempotent,
                            std::function<void(StatusOr<sql::ResultSet>)> done);
 
-  /// SqlNodePool failure hook: invalidates the sessions of every connection
-  /// that lived on the dead node (they fail over on their next execute).
+  /// SqlNodePool retirement hook: invalidates the sessions of every
+  /// connection that lived on the retired node (killed, drained out,
+  /// removed); they fail over on their next execute.
   void OnNodeFailure(sql::SqlNode* node);
 
   /// Remaining failover tokens for the tenant (tests/introspection).
@@ -128,8 +129,11 @@ class Proxy {
 
  private:
   sql::SqlNode* PickLeastConnections(const std::vector<sql::SqlNode*>& nodes) const;
-  Status FinishConnect(kv::TenantId tenant, sql::SqlNode* node,
-                       std::function<void(StatusOr<Connection*>)>& on_connected);
+  /// The tenant's least-connections ready node, else one the pool acquires
+  /// (cold-starting it if needed).
+  void PickOrAcquire(kv::TenantId tenant, SqlNodePool::ReadyCallback on_node);
+  /// Opens a session on `node` and points the connection at it.
+  Status Attach(Connection* conn, sql::SqlNode* node);
   /// One execute attempt; `attempt` counts failovers already taken. Looks
   /// the connection up by id because it can be closed across async hops.
   void ExecuteAttempt(uint64_t conn_id, const std::string& sql, bool idempotent,
@@ -156,8 +160,7 @@ class Proxy {
   std::map<std::string, ThrottleState> throttle_;
   std::map<kv::TenantId, double> retry_budget_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* connections_c_ = nullptr;
   obs::Counter* migrations_c_ = nullptr;
   obs::Counter* rejected_c_ = nullptr;       ///< allow/deny list rejections

@@ -8,14 +8,9 @@ namespace veloce::sim {
 
 VirtualCpu::VirtualCpu(EventLoop* loop, int vcpus, Nanos quantum,
                        const obs::ObsContext& obs, std::string instance)
-    : loop_(loop), vcpus_(vcpus), quantum_(quantum) {
+    : loop_(loop), vcpus_(vcpus), quantum_(quantum), metrics_(obs.metrics) {
   VELOCE_CHECK(vcpus > 0);
   VELOCE_CHECK(quantum > 0);
-  metrics_ = obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   obs::Labels labels;
   if (!instance.empty()) labels.push_back({"node", std::move(instance)});
   runnable_h_ = metrics_->histogram("veloce_sim_runnable_queue_samples", labels);

@@ -82,8 +82,7 @@ class VirtualCpu {
   Nanos total_busy_ = 0;
   std::unordered_map<uint64_t, Nanos> tenant_busy_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::HistogramMetric* runnable_h_ = nullptr;  ///< per-tick queue samples
   obs::MetricsRegistry::CallbackToken gauge_cb_;
 };

@@ -14,12 +14,8 @@ KvConnector::KvConnector(tenant::AuthorizedKvService* service, kv::KVCluster* cl
       cluster_(cluster),
       cert_(cert),
       mode_(mode),
-      prefix_(kv::TenantPrefix(cert.tenant_id)) {
-  metrics_ = obs.metrics;
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+      prefix_(kv::TenantPrefix(cert.tenant_id)),
+      metrics_(obs.metrics) {
   obs::Labels labels = {{"tenant", std::to_string(cert_.tenant_id)}};
   if (!instance.empty()) labels.push_back({"sql_node", std::move(instance)});
   batches_c_ = metrics_->counter("veloce_sql_kv_batches_total", labels);

@@ -185,8 +185,7 @@ class KvConnector {
 
   kv::RangeDirectoryCache range_cache_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::RegistryRef metrics_;
   obs::Counter* batches_c_ = nullptr;
   obs::Counter* marshaled_bytes_c_ = nullptr;
   /// Encode, checksum and decode time on the steady clock. These sections

@@ -51,7 +51,8 @@ std::string Engine::ManifestFileName() const { return options_.dir + "/MANIFEST"
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
-      versions_(options_.l0_compaction_trigger, options_.level_base_bytes) {}
+      versions_(options_.l0_compaction_trigger, options_.level_base_bytes),
+      metrics_(options_.obs.metrics) {}
 
 StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
   auto engine = std::unique_ptr<Engine>(new Engine(options));
@@ -80,13 +81,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(EngineOptions options) {
 }
 
 void Engine::InitMetrics() {
-  if (options_.obs.metrics != nullptr) {
-    metrics_ = options_.obs.metrics;
-  } else {
-    // Private registry: keeps stats() per-instance-correct with zero wiring.
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   obs::Labels labels;
   if (!options_.metrics_instance.empty()) {
     labels.emplace_back("node", options_.metrics_instance);

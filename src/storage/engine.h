@@ -214,7 +214,7 @@ class Engine {
   const EngineStats& stats() const;
   /// The registry this engine's `veloce_storage_*` series live in (the
   /// injected one, or the engine's private default).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return metrics_.get(); }
   const BlockCache* block_cache() const { return block_cache_.get(); }
   int NumFilesAtLevel(int level) const;
   /// Sealed memtables awaiting background flush.
@@ -381,8 +381,7 @@ class Engine {
   std::shared_ptr<BgToken> bg_token_;
 
   // Metric handles (hot-path increments are lock-free; see obs/metrics.h).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* ingest_bytes_c_ = nullptr;
   obs::Counter* wal_bytes_c_ = nullptr;
   obs::Counter* flush_bytes_c_ = nullptr;

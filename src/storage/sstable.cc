@@ -157,28 +157,36 @@ StatusOr<std::shared_ptr<Table>> Table::Open(std::unique_ptr<RandomAccessFile> f
   return table;
 }
 
-void Table::EnsureFilterLoaded() const {
-  std::call_once(filter_once_, [this] {
-    std::string raw;
-    if (!file_->Read(filter_offset_, filter_size_ + 4, &raw).ok() ||
-        raw.size() != filter_size_ + 4) {
-      return;  // unreadable filter: fall back to probing data blocks
-    }
+bool Table::EnsureFilterLoaded() const {
+  int state = filter_state_.load(std::memory_order_acquire);
+  if (state != kFilterUnloaded) return state == kFilterLoaded;
+  std::lock_guard<std::mutex> l(filter_mu_);
+  state = filter_state_.load(std::memory_order_relaxed);
+  if (state != kFilterUnloaded) return state == kFilterLoaded;
+  std::string raw;
+  if (!file_->Read(filter_offset_, filter_size_ + 4, &raw).ok()) {
+    return false;  // transient: probe data blocks now, retry the load next time
+  }
+  bool intact = raw.size() == filter_size_ + 4;
+  if (intact) {
     Slice crc_slice(raw.data() + filter_size_, 4);
     uint32_t masked = 0;
     GetFixed32(&crc_slice, &masked);
-    if (crc32c::Unmask(masked) != crc32c::Value(raw.data(), filter_size_)) {
-      return;  // corrupt filter: treat as absent, reads stay correct
-    }
-    raw.resize(filter_size_);
-    filter_ = std::move(raw);
-  });
+    intact = crc32c::Unmask(masked) == crc32c::Value(raw.data(), filter_size_);
+  }
+  if (!intact) {
+    // Corrupt filter: treat as absent for good, reads stay correct.
+    filter_state_.store(kFilterAbsent, std::memory_order_release);
+    return false;
+  }
+  raw.resize(filter_size_);
+  filter_ = std::move(raw);
+  filter_state_.store(kFilterLoaded, std::memory_order_release);
+  return true;
 }
 
 bool Table::MayContainPrefix(Slice prefix) const {
-  if (filter_size_ == 0) return true;
-  EnsureFilterLoaded();
-  if (filter_.empty()) return true;
+  if (filter_size_ == 0 || !EnsureFilterLoaded()) return true;
   return BloomKeyMayMatch(prefix, Slice(filter_));
 }
 

@@ -1,6 +1,7 @@
 #ifndef VELOCE_STORAGE_SSTABLE_H_
 #define VELOCE_STORAGE_SSTABLE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,7 +102,8 @@ class Table {
   /// Bloom probe with an already-extracted prefix. True means "may contain";
   /// false is definitive. A table without a filter returns true. Loads the
   /// filter block on first use (thread-safe); a corrupt filter block is
-  /// treated as absent rather than failing reads.
+  /// treated as absent rather than failing reads, and a failed read of it
+  /// is retried on the next probe.
   bool MayContainPrefix(Slice prefix) const;
 
   uint64_t num_blocks() const { return index_entries_.size(); }
@@ -120,7 +122,8 @@ class Table {
   Status ReadBlock(size_t block_idx, std::shared_ptr<const std::string>* out) const;
   /// Index of the first block whose last key >= target, or -1.
   int FindBlock(Slice target) const;
-  void EnsureFilterLoaded() const;
+  /// True once the filter block is loaded and verified.
+  bool EnsureFilterLoaded() const;
 
   std::unique_ptr<RandomAccessFile> file_;
   std::vector<IndexEntry> index_entries_;
@@ -130,8 +133,13 @@ class Table {
   uint64_t filter_offset_ = 0;
   uint64_t filter_size_ = 0;  // payload bytes, excluding the crc trailer
 
-  mutable std::once_flag filter_once_;
-  mutable std::string filter_;  // loaded lazily; empty until first probe
+  enum FilterState : int { kFilterUnloaded, kFilterLoaded, kFilterAbsent };
+  /// Latches only a loaded or corrupt filter; an I/O error leaves it
+  /// unloaded. filter_ is written once, under filter_mu_, before the
+  /// release store of kFilterLoaded.
+  mutable std::atomic<int> filter_state_{kFilterUnloaded};
+  mutable std::mutex filter_mu_;
+  mutable std::string filter_;
 };
 
 }  // namespace veloce::storage

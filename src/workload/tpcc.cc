@@ -17,22 +17,17 @@ bool Retryable(const Status& s) {
 
 TpccWorkload::TpccWorkload(Options options, uint64_t seed,
                            const obs::ObsContext& obs)
-    : options_(options), rng_(seed) {
-  obs::MetricsRegistry* metrics = obs.metrics;
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+    : options_(options), rng_(seed), metrics_(obs.metrics) {
   auto txn = [&](const char* kind) {
-    return metrics->counter("veloce_workload_tpcc_txns_total", {{"txn", kind}});
+    return metrics_->counter("veloce_workload_tpcc_txns_total", {{"txn", kind}});
   };
   new_orders_c_ = txn("new_order");
   payments_c_ = txn("payment");
   order_statuses_c_ = txn("order_status");
   deliveries_c_ = txn("delivery");
   stock_levels_c_ = txn("stock_level");
-  retries_c_ = metrics->counter("veloce_workload_tpcc_retries_total");
-  aborts_c_ = metrics->counter("veloce_workload_tpcc_aborts_total");
+  retries_c_ = metrics_->counter("veloce_workload_tpcc_retries_total");
+  aborts_c_ = metrics_->counter("veloce_workload_tpcc_aborts_total");
 }
 
 const TpccWorkload::Stats& TpccWorkload::stats() const {

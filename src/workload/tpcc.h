@@ -80,7 +80,7 @@ class TpccWorkload {
 
   Options options_;
   Random rng_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* new_orders_c_ = nullptr;
   obs::Counter* payments_c_ = nullptr;
   obs::Counter* order_statuses_c_ = nullptr;

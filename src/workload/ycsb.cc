@@ -9,21 +9,17 @@ YcsbWorkload::YcsbWorkload(Options options, uint64_t seed,
     : options_(options),
       rng_(seed),
       zipf_(static_cast<uint64_t>(options.record_count), options.zipf_theta, seed ^ 0x5555),
-      inserted_(static_cast<uint64_t>(options.record_count)) {
-  obs::MetricsRegistry* metrics = obs.metrics;
-  if (metrics == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics_.get();
-  }
+      inserted_(static_cast<uint64_t>(options.record_count)),
+      metrics_(obs.metrics) {
   auto op = [&](const char* kind) {
-    return metrics->counter("veloce_workload_ycsb_ops_total", {{"op", kind}});
+    return metrics_->counter("veloce_workload_ycsb_ops_total", {{"op", kind}});
   };
   reads_c_ = op("read");
   updates_c_ = op("update");
   inserts_c_ = op("insert");
   scans_c_ = op("scan");
   rmws_c_ = op("rmw");
-  errors_c_ = metrics->counter("veloce_workload_ycsb_errors_total");
+  errors_c_ = metrics_->counter("veloce_workload_ycsb_errors_total");
 }
 
 const YcsbWorkload::Stats& YcsbWorkload::stats() const {

@@ -53,7 +53,7 @@ class YcsbWorkload {
   Random rng_;
   ZipfianGenerator zipf_;
   uint64_t inserted_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::RegistryRef metrics_;
   obs::Counter* reads_c_ = nullptr;
   obs::Counter* updates_c_ = nullptr;
   obs::Counter* inserts_c_ = nullptr;

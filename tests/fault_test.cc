@@ -694,6 +694,40 @@ TEST(EngineFaultTest, MvccReadsSurfaceBlockCorruption) {
   EXPECT_EQ(scan->entries.size(), 100u);
 }
 
+TEST(EngineFaultTest, FilterReadErrorIsRetriedOnLaterProbes) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fault(base.get(), /*seed=*/13);
+  EngineOptions opts;
+  opts.env = &fault;
+  opts.block_cache_bytes = 0;
+  auto engine = *Engine::Open(opts);
+  char key[16];
+  for (int i = 0; i < 200; i += 2) {
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    ASSERT_TRUE(engine->Put(key, "v").ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+
+  // The first Get's first table read is the lazy filter load: it fails
+  // once, and the Get falls back to the data blocks.
+  FaultRule rule;
+  rule.op = FaultOp::kRead;
+  rule.path_substr = ".sst";
+  rule.count = 1;
+  fault.AddRule(rule);
+  std::string value;
+  ASSERT_TRUE(engine->Get("key000", &value).ok());
+  EXPECT_EQ(fault.injected(FaultOp::kRead), 1u);
+  fault.ClearRules();
+
+  // Absent keys inside the table's range: the reloaded filter rejects them.
+  for (int i = 1; i < 200; i += 2) {
+    std::snprintf(key, sizeof(key), "key%03d", i);
+    EXPECT_TRUE(engine->Get(key, &value).IsNotFound());
+  }
+  EXPECT_GT(engine->stats().bloom_useful, 0u);
+}
+
 // Four flushed L0 tables of 200 keys each, no block cache (every block read
 // reaches the Env) and compactions only when asked for.
 std::unique_ptr<Engine> OpenWithFourTables(Env* env) {

@@ -62,6 +62,21 @@ TEST(HlcTest, UpdateFoldsRemoteTimestamps) {
 }
 
 // ---------------------------------------------------------------------------
+// KVNode
+// ---------------------------------------------------------------------------
+
+TEST(KvNodeTest, StandaloneNodeRegistryOutlivesItsEngine) {
+  // No injected registry: the node's private one must outlive the engine,
+  // whose collect callback unregisters from it when the engine closes.
+  auto node = std::make_unique<KVNode>(0, "local", storage::EngineOptions{},
+                                       obs::ObsContext{});
+  ASSERT_NE(node->engine(), nullptr);
+  node->RecordBatch(/*read_only=*/true);
+  EXPECT_EQ(node->stats().read_batches, 1u);
+  node.reset();
+}
+
+// ---------------------------------------------------------------------------
 // MVCC key encoding
 // ---------------------------------------------------------------------------
 

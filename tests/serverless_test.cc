@@ -202,6 +202,67 @@ TEST_F(ServerlessTest, RebalanceEvacuatesDrainingNode) {
   EXPECT_EQ(cluster_->pool()->NodesForTenant(tenant_).size(), 1u);
 }
 
+TEST_F(ServerlessTest, DrainTimeoutRetiresNodeUnderOpenTxnWithoutFreeingIt) {
+  auto conn = *cluster_->ConnectSync(tenant_);
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "CREATE TABLE t (id INT PRIMARY KEY)").ok());
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "BEGIN").ok());
+  sql::SqlNode* drained = conn->node;
+  // The open transaction keeps the session from migrating, so the drain
+  // timeout retires the node out from under the connection.
+  cluster_->pool()->StartDraining(drained);
+  cluster_->loop()->RunFor(11 * kMinute);
+  EXPECT_EQ(drained->state(), sql::SqlNode::State::kStopped);
+  EXPECT_EQ(conn->session, nullptr) << "retirement must invalidate sessions";
+  EXPECT_TRUE(cluster_->pool()->NodesForTenant(tenant_).empty());
+
+  // The next statement fails over to a fresh node.
+  auto rs = cluster_->ExecuteSync(conn, "SELECT 1");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_NE(conn->node, drained);
+  EXPECT_EQ(conn->node->state(), sql::SqlNode::State::kReady);
+}
+
+TEST_F(ServerlessTest, FailedStampRetiresTheNodeAndItsPod) {
+  ASSERT_TRUE(cluster_->tenants()->DestroyTenant(tenant_).ok());
+  bool called = false;
+  Status status;
+  cluster_->pool()->Acquire(tenant_, [&](StatusOr<sql::SqlNode*> n) {
+    called = true;
+    status = n.status();
+  });
+  cluster_->loop()->Run();
+  ASSERT_TRUE(called);
+  EXPECT_FALSE(status.ok());
+  // The warm node taken for the stamp is gone with its pod; the pool
+  // refilled, and no tenant-less node lingers in the active set.
+  SqlNodePool* pool = cluster_->pool();
+  EXPECT_EQ(pool->warm_available(), 4u);
+  EXPECT_EQ(pool->num_ready_nodes(), 0u);
+  EXPECT_EQ(cluster_->kube()->num_pods(),
+            pool->warm_available() + pool->num_ready_nodes());
+}
+
+TEST(ServerlessPoolTest, KillWhileUnoptimizedProcessBootsFailsTheAcquire) {
+  ServerlessCluster::Options opts;
+  opts.pool.prewarm_process = false;
+  ServerlessCluster cluster(opts);
+  auto meta = *cluster.CreateTenant("app");
+  bool called = false;
+  Status status;
+  cluster.pool()->Acquire(meta.id, [&](StatusOr<sql::SqlNode*> n) {
+    called = true;
+    status = n.status();
+  });
+  // The acquired warm pod (the first one created) dies while its process
+  // boots.
+  cluster.loop()->RunFor(100 * kMilli);
+  cluster.kube()->KillPod(1);
+  cluster.loop()->Run();
+  ASSERT_TRUE(called);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(cluster.kube()->num_pods(), cluster.pool()->warm_available());
+}
+
 // ---------------------------------------------------------------------------
 // Node failure: kill-mid-workload, proxy failover, retry budget
 // ---------------------------------------------------------------------------
