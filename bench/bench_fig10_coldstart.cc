@@ -28,7 +28,7 @@ Nanos ProbeOnce(serverless::ServerlessCluster* cluster, kv::TenantId tenant) {
   // Tear back down to the suspended state for the next probe.
   VELOCE_CHECK_OK(cluster->proxy()->Disconnect((*conn)->id));
   for (auto* node : cluster->pool()->NodesForTenant(tenant)) {
-    cluster->pool()->Remove(node);
+    cluster->pool()->Remove(node->id());
   }
   cluster->loop()->RunFor(kSecond);
   return elapsed;

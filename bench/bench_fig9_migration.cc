@@ -98,7 +98,11 @@ int main() {
 
   // Rolling upgrade: drain each original node; the proxy migrates its
   // connections; a replacement node joins from the warm pool.
-  auto nodes = cluster.pool()->NodesForTenant(tenant);
+  // Ids, not pointers: a drained node is freed once it retires.
+  std::vector<uint64_t> nodes;
+  for (sql::SqlNode* node : cluster.pool()->NodesForTenant(tenant)) {
+    nodes.push_back(node->id());
+  }
   for (size_t upgrade = 0; upgrade < nodes.size(); ++upgrade) {
     cluster.pool()->StartDraining(nodes[upgrade]);
     cluster.proxy()->RebalanceTenant(tenant);

@@ -4,7 +4,7 @@
 #
 # Usage:
 #   scripts/check.sh            # release build + ctest + bench/scenario smoke
-#   scripts/check.sh --asan     # ASan+UBSan build + ctest
+#   scripts/check.sh --asan     # ASan+UBSan build + ctest + node-retirement benches
 #   scripts/check.sh --tsan     # TSan build + storage/kv suites
 #   scripts/check.sh --full     # default path + full-mode scenario snapshots
 #                               # (BENCH_<scenario>.json into the repo root)
@@ -26,6 +26,25 @@ run_preset() {
   cmake --build --preset "${preset}" -j "${JOBS}"
   echo "==> test (${preset})"
   ctest --preset "${preset}" -j "${JOBS}"
+}
+
+# The benches whose runs retire SQL nodes (Fig 10's scale-to-zero probes,
+# Fig 8's autoscaler drains, Fig 9's rolling-upgrade drains, and the fast
+# scenarios) on the ASan/UBSan build: the pool frees every retired node, so
+# a use of one after its retirement fails the run.
+asan_retire_smoke() {
+  echo "==> ASan node-retirement smoke (fig10, fig8, fig9, scenarios --fast)"
+  local out="build-asan/bench-smoke" bench
+  mkdir -p "${out}"
+  export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
+  export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
+  for bench in bench_fig10_coldstart bench_fig8_autoscaler bench_fig9_migration; do
+    echo "--> ${bench}"
+    ./build-asan/bench/"${bench}" > "${out}/${bench}.txt"
+  done
+  echo "--> bench_scenarios --fast"
+  ./build-asan/bench/bench_scenarios --fast --out="${out}" > "${out}/bench_scenarios.txt"
+  echo "ASan node-retirement smoke OK"
 }
 
 # Runs the point-lookup, write-path, txn-throughput, and SQL-exec benches
@@ -196,10 +215,10 @@ rangestorm_full() {
 
 case "${1:-}" in
   "")     size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke ;;
-  --asan) run_preset asan ;;
+  --asan) run_preset asan; asan_retire_smoke ;;
   --tsan) run_preset tsan ;;
   --full) size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; scenario_full; rangestorm_full ;;
-  --all)  size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; run_preset asan; run_preset tsan ;;
+  --all)  size_check; run_preset release; bench_smoke; chaos_smoke; netfault_smoke; rangestorm_smoke; scenario_smoke; run_preset asan; asan_retire_smoke; run_preset tsan ;;
   *)      echo "usage: scripts/check.sh [--asan|--tsan|--full|--all]" >&2; exit 2 ;;
 esac
 

@@ -161,7 +161,11 @@ class RollingUpgradeChaos final : public Scenario {
     // The rolling upgrade itself: drain each original node, migrate its
     // connections, bring up a replacement, keep the load running.
     const uint64_t migrations_before = cluster.proxy()->total_migrations();
-    auto originals = cluster.pool()->NodesForTenant(tenant);
+    // Ids, not pointers: a drained node is freed once it retires.
+    std::vector<uint64_t> originals;
+    for (sql::SqlNode* node : cluster.pool()->NodesForTenant(tenant)) {
+      originals.push_back(node->id());
+    }
     for (size_t upgrade = 0; upgrade < originals.size(); ++upgrade) {
       ctx.Log(tl.Elapsed(), "upgrade",
               "draining node " + std::to_string(upgrade + 1) + "/" +

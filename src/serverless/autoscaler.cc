@@ -120,7 +120,7 @@ void Autoscaler::Reconcile(kv::TenantId tenant, TenantState* state) {
       target = 1;  // keep one node while connections may come back
     } else if (idle_long_enough) {
       for (sql::SqlNode* node : pool_->NodesForTenant(tenant)) {
-        pool_->StartDraining(node);
+        pool_->StartDraining(node->id());
       }
       state->suspended = proxy_->ConnectionsForTenant(tenant) == 0;
       return;
@@ -153,7 +153,7 @@ void Autoscaler::Reconcile(kv::TenantId tenant, TenantState* state) {
                               proxy_->ConnectionsOnNode(b);
                      });
     for (int i = 0; i < excess && i < static_cast<int>(nodes.size()); ++i) {
-      pool_->StartDraining(nodes[static_cast<size_t>(i)]);
+      pool_->StartDraining(nodes[static_cast<size_t>(i)]->id());
     }
     proxy_->RebalanceTenant(tenant);  // move connections off draining nodes
   }

@@ -39,10 +39,13 @@ ServerlessCluster::ServerlessCluster(Options options)
                                         controller_.get(), options_.pool);
   options_.proxy.obs = obs_;
   proxy_ = std::make_unique<Proxy>(&loop_, pool_.get(), options_.proxy);
-  // A node leaving service invalidates the proxy's sessions on it before
-  // any connection can touch a freed Session.
-  pool_->SetNodeFailureListener(
-      [this](sql::SqlNode* node) { proxy_->OnNodeFailure(node); });
+  // A node leaving service is dropped by the proxy before it is freed, and
+  // its usage since the last harvest is billed.
+  pool_->SetNodeFailureListener([this](sql::SqlNode* node) {
+    proxy_->OnNodeFailure(node);
+    HarvestNode(node);
+    harvested_sql_cpu_.erase(node->id());
+  });
   for (kv::NodeId id = 0; id < static_cast<kv::NodeId>(kv_->num_nodes()); ++id) {
     admission::NodeAdmissionController::Options opts = options_.admission;
     opts.obs = obs_;
@@ -99,18 +102,19 @@ void ServerlessCluster::HarvestUsage() {
   auto tenants = controller_->ListTenants();
   if (!tenants.ok()) return;
   for (const auto& meta : *tenants) {
-    const kv::TenantId tenant = meta.id;
-    for (sql::SqlNode* node : pool_->NodesForTenant(tenant)) {
-      sql::KvConnector* connector = node->connector();
-      if (connector == nullptr) continue;
-      const Nanos total_sql = node->sql_cpu();
-      Nanos& billed = harvested_sql_cpu_[node->id()];
-      const double sql_secs = static_cast<double>(total_sql - billed) / 1e9;
-      billed = total_sql;
-      meter_.Record(tenant, connector->features(), sql_secs);
-      connector->ResetFeatures();
-    }
+    for (sql::SqlNode* node : pool_->NodesForTenant(meta.id)) HarvestNode(node);
   }
+}
+
+void ServerlessCluster::HarvestNode(sql::SqlNode* node) {
+  sql::KvConnector* connector = node->connector();
+  if (connector == nullptr) return;  // never stamped: nothing to bill
+  const Nanos total_sql = node->sql_cpu();
+  Nanos& billed = harvested_sql_cpu_[node->id()];
+  const double sql_secs = static_cast<double>(total_sql - billed) / 1e9;
+  billed = total_sql;
+  meter_.Record(node->tenant_id(), connector->features(), sql_secs);
+  connector->ResetFeatures();
 }
 
 StatusOr<tenant::TenantMetadata> ServerlessCluster::CreateTenant(

@@ -102,9 +102,9 @@ class ServerlessCluster {
   StatusOr<sql::ResultSet> ExecuteSync(Proxy::Connection* conn,
                                        const std::string& sql,
                                        bool idempotent = true);
-  /// Abruptly kills the SQL node's pod mid-workload (fault injection). The
-  /// proxy's connections on it fail over on their next ExecuteWithFailover.
-  void KillSqlNode(sql::SqlNode* node) { pool_->KillNode(node); }
+  /// Abruptly kills the SQL node's pod mid-workload (fault injection); an
+  /// unknown id is ignored. Its connections fail over on their next execute.
+  void KillSqlNode(uint64_t node_id) { pool_->KillNode(node_id); }
   /// Simulated KV node crash-restart: tears the node's engine down without
   /// flushing and reopens it against the same Env, recovering state from
   /// the WALs. Acked (synced) writes must survive.
@@ -119,7 +119,8 @@ class ServerlessCluster {
   // --- billing -------------------------------------------------------------
   billing::TenantMeter* meter() { return &meter_; }
   /// Scrapes every ready SQL node's feature counters and measured SQL CPU
-  /// into the meter (resets the node-local counters).
+  /// into the meter (resets the node-local counters). A retired node is
+  /// harvested once more as it leaves service.
   void HarvestUsage();
   /// Convenience: harvest, then the tenant's usage in the open interval.
   billing::UsageReport TenantUsage(kv::TenantId tenant) {
@@ -128,6 +129,9 @@ class ServerlessCluster {
   }
 
  private:
+  /// Bills one node's usage since its last harvest.
+  void HarvestNode(sql::SqlNode* node);
+
   Options options_;
   sim::EventLoop loop_;
   // Telemetry plumbing: declared before (so destroyed after) every
@@ -154,7 +158,7 @@ class ServerlessCluster {
   std::map<kv::NodeId, std::unique_ptr<admission::NodeAdmissionController>> admission_;
   std::unique_ptr<sim::PeriodicTask> rebalancer_;
   std::map<kv::TenantId, double> cpu_usage_;
-  std::map<uint64_t, Nanos> harvested_sql_cpu_;  // node id -> already-billed
+  std::map<uint64_t, Nanos> harvested_sql_cpu_;  // live node id -> already-billed
 };
 
 }  // namespace veloce::serverless

@@ -56,6 +56,8 @@ class KubeSim {
   void StartProcess(PodId pod, std::function<void()> on_started);
 
   void DeletePod(PodId pod);
+  /// False once the pod is deleted or killed (even before it came up).
+  bool HasPod(PodId pod) const { return pods_.count(pod) > 0; }
   bool ProcessRunning(PodId pod) const;
 
   /// Fault hook: kills the pod abruptly (process and all). Unlike

@@ -62,6 +62,11 @@ void SqlNodePool::StartNode(
   kube_->CreatePod([this, boot, on_node = std::move(on_node)](PodId pod) {
     const Nanos pod_ready = loop_->Now();
     auto build = [this, boot, on_node, pod, pod_ready] {
+      // A pod killed while it was created or booted gets no node.
+      if (!kube_->HasPod(pod)) {
+        on_node(nullptr, pod_ready);
+        return;
+      }
       auto managed = std::make_unique<ManagedNode>();
       managed->pod = pod;
       managed->node = std::make_unique<sql::SqlNode>(
@@ -84,8 +89,12 @@ void SqlNodePool::Replenish() {
     // Optimized flow: the process boots *before* a tenant is known.
     StartNode(options_.prewarm_process,
               [this](std::unique_ptr<ManagedNode> managed, Nanos /*pod_ready*/) {
-                warm_.push_back(std::move(managed));
                 --replenish_inflight_;
+                if (managed == nullptr) {
+                  Replenish();  // the pod died: start another
+                  return;
+                }
+                warm_.push_back(std::move(managed));
               });
   }
 }
@@ -99,12 +108,6 @@ Nanos SqlNodePool::StampLatency() {
   return latency;
 }
 
-SqlNodePool::ManagedNode* SqlNodePool::Activate(std::unique_ptr<ManagedNode> managed) {
-  ManagedNode* raw = managed.get();
-  active_[raw->node->id()] = std::move(managed);
-  return raw;
-}
-
 void SqlNodePool::Acquire(kv::TenantId tenant, ReadyCallback on_ready) {
   // (1) Un-drain a draining node of this tenant.
   for (auto& [id, managed] : active_) {
@@ -113,7 +116,9 @@ void SqlNodePool::Acquire(kv::TenantId tenant, ReadyCallback on_ready) {
         node->state() == sql::SqlNode::State::kDraining) {
       node->Undrain();
       acquire_drain_c_->Inc();
-      loop_->Schedule(0, [node, cb = std::move(on_ready)]() mutable { cb(node); });
+      loop_->Schedule(0, [this, node_id = id, cb = std::move(on_ready)]() mutable {
+        cb(Resolve(node_id));
+      });
       return;
     }
   }
@@ -125,21 +130,23 @@ void SqlNodePool::Acquire(kv::TenantId tenant, ReadyCallback on_ready) {
     std::unique_ptr<ManagedNode> managed = std::move(warm_.front());
     warm_.pop_front();
     Replenish();
-    ManagedNode* raw = Activate(std::move(managed));
+    const PodId pod = managed->pod;
+    const uint64_t id = managed->node->id();
+    active_[id] = std::move(managed);
     if (options_.prewarm_process) {
       // Certificate write + fs watch + KV init.
-      Stamp(raw, tenant, /*delay=*/0, t0, acquire_warm_h_, std::move(on_ready));
+      Stamp(id, tenant, /*delay=*/0, t0, acquire_warm_h_, std::move(on_ready));
       return;
     }
     // Unoptimized: boot the process now, plus the TCP-reset retry penalty
     // (the proxy's connection attempts bounce until the listener opens,
-    // roughly doubling observed startup). A node killed meanwhile stays
-    // stopped, and its stamp fails.
-    kube_->StartProcess(raw->pod, [this, raw, tenant, t0,
-                                   cb = std::move(on_ready)]() mutable {
-      (void)raw->node->StartProcess();
+    // roughly doubling observed startup); a node killed meanwhile fails its stamp.
+    kube_->StartProcess(pod, [this, id, tenant, t0,
+                              cb = std::move(on_ready)]() mutable {
+      StatusOr<sql::SqlNode*> node = Resolve(id);
+      if (node.ok()) VELOCE_CHECK_OK((*node)->StartProcess());
       stage_process_start_h_->Record(loop_->Now() - t0);
-      Stamp(raw, tenant, kube_->options().process_start_latency, t0,
+      Stamp(id, tenant, kube_->options().process_start_latency, t0,
             acquire_warm_h_, std::move(cb));
     });
     return;
@@ -150,31 +157,34 @@ void SqlNodePool::Acquire(kv::TenantId tenant, ReadyCallback on_ready) {
   StartNode(/*boot=*/true, [this, tenant, t0, cb = std::move(on_ready)](
                                std::unique_ptr<ManagedNode> managed,
                                Nanos pod_ready) mutable {
+    if (managed == nullptr) {
+      cb(Status::Unavailable("SQL node's pod died while it started"));
+      return;
+    }
     stage_pod_create_h_->Record(pod_ready - t0);
     stage_process_start_h_->Record(loop_->Now() - pod_ready);
-    Stamp(Activate(std::move(managed)), tenant, /*delay=*/0, t0, acquire_cold_h_,
-          std::move(cb));
+    const uint64_t id = managed->node->id();
+    active_[id] = std::move(managed);
+    Stamp(id, tenant, /*delay=*/0, t0, acquire_cold_h_, std::move(cb));
   });
 }
 
-void SqlNodePool::Stamp(ManagedNode* managed, kv::TenantId tenant, Nanos delay,
+void SqlNodePool::Stamp(uint64_t node_id, kv::TenantId tenant, Nanos delay,
                         Nanos t0, obs::HistogramMetric* acquire_h,
                         ReadyCallback on_ready) {
   const Nanos stage_start = loop_->Now();
-  loop_->Schedule(delay + StampLatency(), [this, managed, tenant, t0, stage_start,
+  loop_->Schedule(delay + StampLatency(), [this, node_id, tenant, t0, stage_start,
                                            acquire_h,
                                            cb = std::move(on_ready)]() mutable {
     stage_stamp_h_->Record(loop_->Now() - stage_start);
     acquire_h->Record(loop_->Now() - t0);
-    sql::SqlNode* node = managed->node.get();
-    auto cert_or = controller_->IssueCert(tenant);
-    Status s = cert_or.ok() ? node->StampTenant(service_, cluster_, *cert_or)
-                            : cert_or.status();
+    StatusOr<sql::SqlNode*> node = Resolve(node_id);
+    StatusOr<tenant::TenantCert> cert =
+        node.ok() ? controller_->IssueCert(tenant) : node.status();
+    Status s = cert.ok() ? (*node)->StampTenant(service_, cluster_, *cert)
+                         : cert.status();
     if (!s.ok()) {
-      // A node that cannot serve the tenant leaves service (a kill during
-      // the stamp already retired it).
-      auto it = active_.find(node->id());
-      if (it != active_.end()) Retire(std::move(active_.extract(it).mapped()), false);
+      Remove(node_id);  // a node that failed its stamp leaves service
       cb(s);
       return;
     }
@@ -182,31 +192,30 @@ void SqlNodePool::Stamp(ManagedNode* managed, kv::TenantId tenant, Nanos delay,
   });
 }
 
-void SqlNodePool::StartDraining(sql::SqlNode* node) {
-  if (active_.count(node->id()) == 0) return;
-  node->StartDraining();
+void SqlNodePool::StartDraining(uint64_t node_id) {
+  StatusOr<sql::SqlNode*> node = Resolve(node_id);
+  if (!node.ok()) return;
+  (*node)->StartDraining();
   // Poll until sessions are gone or the drain timeout passes; a reused
   // (un-drained) or retired node cancels the poll implicitly.
   const Nanos deadline = loop_->Now() + options_.drain_timeout;
   loop_->Schedule(10 * kSecond,
-                  [this, id = node->id(), deadline] { DrainPoll(id, deadline); });
+                  [this, node_id, deadline] { DrainPoll(node_id, deadline); });
 }
 
 void SqlNodePool::DrainPoll(uint64_t node_id, Nanos deadline) {
-  auto it = active_.find(node_id);
-  if (it == active_.end()) return;
-  sql::SqlNode* node = it->second->node.get();
-  if (node->state() != sql::SqlNode::State::kDraining) return;
-  if (node->num_sessions() == 0 || loop_->Now() >= deadline) {
-    Retire(std::move(active_.extract(it).mapped()), /*killed=*/false);
+  StatusOr<sql::SqlNode*> node = Resolve(node_id);
+  if (!node.ok() || (*node)->state() != sql::SqlNode::State::kDraining) return;
+  if ((*node)->num_sessions() == 0 || loop_->Now() >= deadline) {
+    Remove(node_id);
     return;
   }
   loop_->Schedule(10 * kSecond,
                   [this, node_id, deadline] { DrainPoll(node_id, deadline); });
 }
 
-void SqlNodePool::KillNode(sql::SqlNode* node) {
-  auto it = active_.find(node->id());
+void SqlNodePool::KillNode(uint64_t node_id) {
+  auto it = active_.find(node_id);
   if (it == active_.end()) return;
   kube_->KillPod(it->second->pod);  // fires OnPodFailure synchronously
 }
@@ -230,19 +239,28 @@ void SqlNodePool::OnPodFailure(PodId pod) {
   }
 }
 
-void SqlNodePool::Remove(sql::SqlNode* node) {
-  auto it = active_.find(node->id());
+void SqlNodePool::Remove(uint64_t node_id) {
+  auto it = active_.find(node_id);
   if (it == active_.end()) return;
   Retire(std::move(active_.extract(it).mapped()), /*killed=*/false);
 }
 
 void SqlNodePool::Retire(std::unique_ptr<ManagedNode> managed, bool killed) {
-  sql::SqlNode* node = managed->node.get();
-  node->Stop();  // sessions are gone; state -> kStopped
   if (!killed) kube_->DeletePod(managed->pod);
-  graveyard_.push_back(std::move(managed));
-  if (node_failure_listener_) node_failure_listener_(node);
+  // The collect callback walks only live nodes; zero the retired one's series.
+  metrics_
+      ->gauge("veloce_serverless_node_sessions",
+              {{"sql_node", std::to_string(managed->node->id())}})
+      ->Set(0);
+  if (node_failure_listener_) node_failure_listener_(managed->node.get());
+  managed.reset();  // frees the node and its sessions
   Replenish();
+}
+
+StatusOr<sql::SqlNode*> SqlNodePool::Resolve(uint64_t node_id) const {
+  auto it = active_.find(node_id);
+  if (it != active_.end()) return it->second->node.get();
+  return Status::Unavailable("SQL node " + std::to_string(node_id) + " was retired");
 }
 
 std::vector<sql::SqlNode*> SqlNodePool::NodesForTenant(kv::TenantId tenant) const {

@@ -60,25 +60,26 @@ class SqlNodePool {
   /// Asynchronously acquires a ready SQL node for `tenant`. Prefers (1) a
   /// draining node of the same tenant (cheapest — instant un-drain), then
   /// (2) a pre-warmed node, then (3) a cold pod. The pool replenishes
-  /// itself in the background. A node whose stamp fails (e.g. the tenant
-  /// was destroyed) is retired and `on_ready` gets the error.
+  /// itself in the background. If the node dies (Unavailable) or fails its
+  /// stamp (e.g. the tenant was destroyed) first, `on_ready` gets the error.
   void Acquire(kv::TenantId tenant, ReadyCallback on_ready);
 
   /// Marks a node draining; it is retired once its sessions are gone or
   /// the drain timeout passes. Draining nodes of the same tenant are reused
-  /// by Acquire before warm ones.
-  void StartDraining(sql::SqlNode* node);
+  /// by Acquire before warm ones. Here and in Remove/KillNode an id that is
+  /// no longer active is ignored.
+  void StartDraining(uint64_t node_id);
 
   /// Immediately retires the node (rolling upgrade / scale-to-zero end).
-  void Remove(sql::SqlNode* node);
+  void Remove(uint64_t node_id);
 
   /// Fault hook: abruptly kills the node's pod (KubeSim::KillPod), as if
   /// the container crashed mid-request; the node is retired like any other.
-  void KillNode(sql::SqlNode* node);
+  void KillNode(uint64_t node_id);
 
   /// Invoked whenever a node leaves service — killed, drained out, removed,
-  /// or failed to stamp — with the (stopped) node. The proxy hooks this to
-  /// invalidate the sessions it had on the node before retrying elsewhere.
+  /// or failed to stamp — with the node, freed once the listener returns.
+  /// The proxy hooks this to drop its pointers to the node and its sessions.
   void SetNodeFailureListener(std::function<void(sql::SqlNode*)> listener) {
     node_failure_listener_ = std::move(listener);
   }
@@ -101,18 +102,19 @@ class SqlNodePool {
 
   /// Creates a pod and builds its SqlNode once the pod is up; with `boot`
   /// the process starts first, so the node arrives kWarm. `on_node` also
-  /// gets the time the pod came up.
+  /// gets the time the pod came up, and a null node if the pod was killed
+  /// while it was created or booted.
   void StartNode(bool boot,
                  std::function<void(std::unique_ptr<ManagedNode>, Nanos)> on_node);
-  /// Moves the node into the active set.
-  ManagedNode* Activate(std::unique_ptr<ManagedNode> managed);
   /// The stamp step: after `delay` plus StampLatency(), records the stage
   /// and the path's acquire latency (since `t0`), then stamps the tenant.
-  void Stamp(ManagedNode* managed, kv::TenantId tenant, Nanos delay, Nanos t0,
+  void Stamp(uint64_t node_id, kv::TenantId tenant, Nanos delay, Nanos t0,
              obs::HistogramMetric* acquire_h, ReadyCallback on_ready);
-  /// The one way out of service: stop the node, delete its pod unless it
-  /// was killed, keep it in the graveyard, notify the listener, replenish.
+  /// The one way out of service: delete the pod unless it was killed,
+  /// notify the listener, free the node, replenish.
   void Retire(std::unique_ptr<ManagedNode> managed, bool killed);
+  /// The active node `node_id`; Unavailable once it is retired.
+  StatusOr<sql::SqlNode*> Resolve(uint64_t node_id) const;
   void DrainPoll(uint64_t node_id, Nanos deadline);
   void OnPodFailure(PodId pod);
   Nanos StampLatency();
@@ -126,13 +128,12 @@ class SqlNodePool {
   Options options_;
   Random rng_;
   uint64_t next_node_id_ = 1;
+  /// A node's only owners: a retired node is freed, so closures that wait
+  /// on the event loop hold node ids and Resolve() them.
   std::deque<std::unique_ptr<ManagedNode>> warm_;
   /// Nodes with a tenant (stamping, ready or draining), by node id. The
   /// node's own SqlNode::State says which.
   std::map<uint64_t, std::unique_ptr<ManagedNode>> active_;
-  /// Retired nodes, kept (stopped) so raw pointers held by proxy
-  /// connections never dangle while their owners fail over.
-  std::vector<std::unique_ptr<ManagedNode>> graveyard_;
   std::function<void(sql::SqlNode*)> node_failure_listener_;
   int replenish_inflight_ = 0;
 

@@ -131,19 +131,18 @@ Status Proxy::Disconnect(uint64_t connection_id) {
   auto it = connections_.find(connection_id);
   if (it == connections_.end()) return Status::NotFound("no such connection");
   Connection* conn = it->second.get();
-  if (conn->node != nullptr && conn->session != nullptr &&
-      conn->node->state() != sql::SqlNode::State::kStopped) {
-    (void)conn->node->CloseSession(conn->session->id());
-  }
+  if (conn->session != nullptr) (void)conn->node->CloseSession(conn->session->id());
   connections_.erase(it);
   return Status::OK();
 }
 
 void Proxy::OnNodeFailure(sql::SqlNode* node) {
-  // The node's sessions died with it; null them out so nothing (migration,
-  // disconnect, execute) dereferences a freed Session.
+  // The node and its sessions are freed once this returns; null them out so
+  // nothing (migration, disconnect, execute) dereferences them.
   for (auto& [id, conn] : connections_) {
-    if (conn->node == node) conn->session = nullptr;
+    if (conn->node != node) continue;
+    conn->node = nullptr;
+    conn->session = nullptr;
   }
 }
 
@@ -185,7 +184,7 @@ void Proxy::ExecuteAttempt(uint64_t conn_id, const std::string& sql,
     return;
   }
   Connection* conn = it->second.get();
-  const bool node_alive = conn->session != nullptr && conn->node != nullptr &&
+  const bool node_alive = conn->session != nullptr &&
                           conn->node->state() == sql::SqlNode::State::kReady;
   if (node_alive) {
     const bool in_txn = conn->session->in_transaction();
@@ -297,9 +296,9 @@ int Proxy::RebalanceTenant(kv::TenantId tenant) {
   const std::vector<sql::SqlNode*> ready = pool_->NodesForTenant(tenant);
   if (ready.empty()) return 0;
   int migrated = 0;
-  // First: evacuate draining/stopped nodes.
+  // First: evacuate draining nodes (skip connections whose node retired).
   for (auto& [id, conn] : connections_) {
-    if (conn->tenant != tenant) continue;
+    if (conn->tenant != tenant || conn->node == nullptr) continue;
     if (conn->node->state() == sql::SqlNode::State::kReady) continue;
     sql::SqlNode* target = PickLeastConnections(ready);
     if (target != nullptr && MigrateConnection(conn.get(), target).ok()) {

@@ -61,8 +61,8 @@ class Proxy {
     uint64_t seed = 0xFACADE;
   };
 
-  /// One proxied client connection. The session pointer moves when the
-  /// proxy migrates the connection; clients keep using the Connection.
+  /// One proxied client connection (its session moves when the proxy migrates
+  /// it). `node` and `session` are both live, or both null once the node retired.
   struct Connection {
     uint64_t id = 0;
     kv::TenantId tenant = 0;
@@ -94,7 +94,7 @@ class Proxy {
                            bool idempotent,
                            std::function<void(StatusOr<sql::ResultSet>)> done);
 
-  /// SqlNodePool retirement hook: invalidates the sessions of every
+  /// SqlNodePool retirement hook: nulls the node and session of every
   /// connection that lived on the retired node (killed, drained out,
   /// removed); they fail over on their next execute.
   void OnNodeFailure(sql::SqlNode* node);

@@ -48,11 +48,6 @@ void SqlNode::Undrain() {
   if (state_ == State::kDraining) state_ = State::kReady;
 }
 
-void SqlNode::Stop() {
-  sessions_.clear();
-  state_ = State::kStopped;
-}
-
 StatusOr<Session*> SqlNode::NewSession() {
   if (state_ != State::kReady) {
     return Status::Unavailable("SQL node is not ready");

@@ -19,13 +19,13 @@ namespace veloce::sql {
 ///             the pre-warmed state that halves cold start latency
 ///   kReady    stamped with a tenant certificate, serving sessions
 ///   kDraining excess capacity: existing connections finish or migrate
-///   kStopped  shut down
+///   (retired: the node is destroyed with its sessions)
 ///
 /// Every SQL node is single-tenant; the cross-tenant sharing happens one
 /// layer down, in the shared KV nodes.
 class SqlNode {
  public:
-  enum class State { kCold, kWarm, kReady, kDraining, kStopped };
+  enum class State { kCold, kWarm, kReady, kDraining };
 
   struct Options {
     ProcessMode mode = ProcessMode::kSeparateProcess;
@@ -60,7 +60,6 @@ class SqlNode {
   /// kDraining -> kReady: the autoscaler reuses draining nodes before
   /// pulling from the warm pool (Section 4.2.3).
   void Undrain();
-  void Stop();
 
   StatusOr<Session*> NewSession();
   /// Restores a migrated session from its serialized form.

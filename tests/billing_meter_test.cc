@@ -121,6 +121,32 @@ TEST(MeteringEndToEndTest, QueriesProduceBillableUsage) {
               report.kv_cpu_seconds * 0.01 + 1e-9);
 }
 
+TEST(MeteringEndToEndTest, RetiredNodeUsageIsBilled) {
+  serverless::ServerlessCluster cluster;
+  auto meta = cluster.CreateTenant("retired");
+  VELOCE_CHECK(meta.ok());
+  auto conn = *cluster.ConnectSync(meta->id);
+  ASSERT_TRUE(conn->session->Execute(
+      "CREATE TABLE b (id INT PRIMARY KEY, v STRING)").ok());
+  auto insert_range = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(conn->session->Execute(
+          "INSERT INTO b VALUES (" + std::to_string(i) + ", 'payload')").ok());
+    }
+  };
+  insert_range(0, 50);
+  const billing::UsageReport before = cluster.TenantUsage(meta->id);
+  insert_range(50, 100);
+  // The node leaves service before the next harvest: its last writes are
+  // billed as it retires, not lost with it.
+  const uint64_t node = conn->node->id();
+  ASSERT_TRUE(cluster.proxy()->Disconnect(conn->id).ok());
+  cluster.pool()->Remove(node);
+  const billing::UsageReport after = cluster.TenantUsage(meta->id);
+  EXPECT_GT(after.write_bytes, before.write_bytes);
+  EXPECT_GT(after.kv_cpu_seconds, before.kv_cpu_seconds);
+}
+
 TEST(MeteringEndToEndTest, PeriodicProxyRebalanceRuns) {
   serverless::ServerlessCluster::Options opts;
   opts.proxy_rebalance_interval = 30 * kSecond;

@@ -227,7 +227,7 @@ TEST(FullStackTest, LifecycleScaleUpMigrateScaleDownQueryThroughout) {
 
   // Scale down: drain everything but the connection's node.
   for (sql::SqlNode* node : cluster.pool()->NodesForTenant(meta->id)) {
-    if (node != conn->node) cluster.pool()->StartDraining(node);
+    if (node != conn->node) cluster.pool()->StartDraining(node->id());
   }
   cluster.loop()->RunFor(kMinute);
   insert();
@@ -314,7 +314,7 @@ TEST(FullStackTest, NodeFailureProducesRobustnessTelemetry) {
   ASSERT_TRUE(conn->session->Execute("CREATE TABLE t (id INT PRIMARY KEY)").ok());
   ASSERT_TRUE(conn->session->Execute("INSERT INTO t VALUES (1)").ok());
 
-  cluster.KillSqlNode(conn->node);
+  cluster.KillSqlNode(conn->node->id());
   auto rs = cluster.ExecuteSync(conn, "SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0].int_value(), 1);

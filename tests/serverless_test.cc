@@ -193,7 +193,7 @@ TEST_F(ServerlessTest, RebalanceEvacuatesDrainingNode) {
   cluster_->pool()->Acquire(tenant_, [&](StatusOr<sql::SqlNode*> n) { second = *n; });
   cluster_->loop()->Run();
   ASSERT_NE(second, nullptr);
-  cluster_->pool()->StartDraining(first);
+  cluster_->pool()->StartDraining(first->id());
   const int migrated = cluster_->proxy()->RebalanceTenant(tenant_);
   EXPECT_EQ(migrated, 1);
   EXPECT_EQ(conn->node, second);
@@ -202,23 +202,28 @@ TEST_F(ServerlessTest, RebalanceEvacuatesDrainingNode) {
   EXPECT_EQ(cluster_->pool()->NodesForTenant(tenant_).size(), 1u);
 }
 
-TEST_F(ServerlessTest, DrainTimeoutRetiresNodeUnderOpenTxnWithoutFreeingIt) {
+TEST_F(ServerlessTest, DrainTimeoutRetiresNodeUnderOpenTxn) {
   auto conn = *cluster_->ConnectSync(tenant_);
   ASSERT_TRUE(cluster_->ExecuteSync(conn, "CREATE TABLE t (id INT PRIMARY KEY)").ok());
   ASSERT_TRUE(cluster_->ExecuteSync(conn, "BEGIN").ok());
-  sql::SqlNode* drained = conn->node;
+  const uint64_t drained = conn->node->id();
+  const obs::Labels node_label = {{"sql_node", std::to_string(drained)}};
+  obs::MetricsRegistry* m = cluster_->metrics();
+  EXPECT_EQ(m->Value("veloce_serverless_node_sessions", node_label), 1.0);
   // The open transaction keeps the session from migrating, so the drain
   // timeout retires the node out from under the connection.
   cluster_->pool()->StartDraining(drained);
   cluster_->loop()->RunFor(11 * kMinute);
-  EXPECT_EQ(drained->state(), sql::SqlNode::State::kStopped);
+  EXPECT_EQ(conn->node, nullptr) << "retirement must drop the freed node";
   EXPECT_EQ(conn->session, nullptr) << "retirement must invalidate sessions";
   EXPECT_TRUE(cluster_->pool()->NodesForTenant(tenant_).empty());
+  EXPECT_EQ(m->Value("veloce_serverless_node_sessions", node_label), 0.0);
 
   // The next statement fails over to a fresh node.
   auto rs = cluster_->ExecuteSync(conn, "SELECT 1");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_NE(conn->node, drained);
+  ASSERT_NE(conn->node, nullptr);
+  EXPECT_NE(conn->node->id(), drained);
   EXPECT_EQ(conn->node->state(), sql::SqlNode::State::kReady);
 }
 
@@ -263,6 +268,115 @@ TEST(ServerlessPoolTest, KillWhileUnoptimizedProcessBootsFailsTheAcquire) {
   EXPECT_EQ(cluster.kube()->num_pods(), cluster.pool()->warm_available());
 }
 
+TEST_F(ServerlessTest, PodKilledWhileCreatedLeavesNoGhostNode) {
+  bool acquired = false;
+  cluster_->pool()->Acquire(tenant_,
+                            [&](StatusOr<sql::SqlNode*> n) { acquired = n.ok(); });
+  // Taking a warm node started a replenish pod (the fifth); it dies while
+  // it is still being created, so no node may be built on it.
+  cluster_->loop()->RunFor(kMilli);
+  cluster_->kube()->KillPod(5);
+  cluster_->loop()->Run();
+  ASSERT_TRUE(acquired);
+  SqlNodePool* pool = cluster_->pool();
+  EXPECT_EQ(pool->warm_available(), 4u);
+  EXPECT_EQ(pool->num_ready_nodes(), 1u);
+  EXPECT_EQ(cluster_->kube()->num_pods(),
+            pool->warm_available() + pool->num_ready_nodes());
+}
+
+TEST(ServerlessPoolTest, ColdPodKilledWhileCreatedFailsTheAcquire) {
+  ServerlessCluster::Options opts;
+  opts.pool.warm_pool_target = 0;
+  ServerlessCluster cluster(opts);
+  auto meta = *cluster.CreateTenant("app");
+  Status status;
+  bool called = false;
+  cluster.pool()->Acquire(meta.id, [&](StatusOr<sql::SqlNode*> n) {
+    called = true;
+    status = n.status();
+  });
+  cluster.loop()->RunFor(kMilli);
+  cluster.kube()->KillPod(1);  // the cold pod, still being created
+  cluster.loop()->Run();
+  ASSERT_TRUE(called);
+  EXPECT_EQ(status.code(), Code::kUnavailable);
+  EXPECT_EQ(cluster.kube()->num_pods(), 0u);
+  EXPECT_EQ(cluster.pool()->num_ready_nodes(), 0u);
+}
+
+TEST_F(ServerlessTest, KillDuringStampFailsTheAcquire) {
+  Status status;
+  bool called = false;
+  cluster_->pool()->Acquire(tenant_, [&](StatusOr<sql::SqlNode*> n) {
+    called = true;
+    status = n.status();
+  });
+  // The acquired warm node (the first pod) dies inside its 120 ms stamp;
+  // the stamp step finds its id gone instead of a freed node.
+  cluster_->loop()->RunFor(50 * kMilli);
+  cluster_->kube()->KillPod(1);
+  cluster_->loop()->Run();
+  ASSERT_TRUE(called);
+  EXPECT_EQ(status.code(), Code::kUnavailable);
+  SqlNodePool* pool = cluster_->pool();
+  EXPECT_EQ(pool->num_ready_nodes(), 0u);
+  EXPECT_EQ(cluster_->kube()->num_pods(),
+            pool->warm_available() + pool->num_ready_nodes());
+}
+
+TEST_F(ServerlessTest, DrainReuseOfNodeThatDiesFailsTheAcquire) {
+  auto conn = *cluster_->ConnectSync(tenant_);
+  const uint64_t id = conn->node->id();
+  cluster_->pool()->StartDraining(id);
+  Status status;
+  bool called = false;
+  // Un-drains `id` now and hands it over on the next event; the node dies
+  // in between.
+  cluster_->pool()->Acquire(tenant_, [&](StatusOr<sql::SqlNode*> n) {
+    called = true;
+    status = n.status();
+  });
+  cluster_->KillSqlNode(id);
+  cluster_->loop()->Run();
+  ASSERT_TRUE(called);
+  EXPECT_EQ(status.code(), Code::kUnavailable);
+  EXPECT_EQ(cluster_->metrics()->Value("veloce_serverless_acquires_total",
+                                       {{"path", "drain"}}),
+            1.0);
+  EXPECT_EQ(conn->node, nullptr);
+}
+
+TEST_F(ServerlessTest, UnknownNodeIdsAreIgnored) {
+  auto conn = *cluster_->ConnectSync(tenant_);
+  const uint64_t retired = conn->node->id();
+  cluster_->KillSqlNode(retired);
+  ASSERT_TRUE(cluster_->ExecuteSync(conn, "SELECT 1").ok());  // fails over
+  cluster_->loop()->Run();  // let the warm pool refill
+  SqlNodePool* pool = cluster_->pool();
+  const uint64_t live = conn->node->id();
+  const size_t pods = cluster_->kube()->num_pods();
+  const size_t warm = pool->warm_available();
+  const double failures =
+      cluster_->metrics()->Sum("veloce_serverless_node_failures_total");
+  // A retired id and one never handed out are both no-ops.
+  for (uint64_t id : {retired, uint64_t{9999}}) {
+    pool->StartDraining(id);
+    pool->Remove(id);
+    pool->KillNode(id);
+    cluster_->KillSqlNode(id);
+  }
+  cluster_->loop()->Run();
+  EXPECT_EQ(cluster_->kube()->num_pods(), pods);
+  EXPECT_EQ(pool->warm_available(), warm);
+  EXPECT_EQ(pool->num_ready_nodes(), 1u);
+  EXPECT_EQ(cluster_->metrics()->Sum("veloce_serverless_node_failures_total"),
+            failures);
+  ASSERT_NE(conn->node, nullptr);
+  EXPECT_EQ(conn->node->id(), live);
+  EXPECT_TRUE(cluster_->ExecuteSync(conn, "SELECT 1").ok());
+}
+
 // ---------------------------------------------------------------------------
 // Node failure: kill-mid-workload, proxy failover, retry budget
 // ---------------------------------------------------------------------------
@@ -275,11 +389,11 @@ TEST_F(ServerlessTest, NodeDeathFailsOverWithoutLosingAckedWrites) {
         conn->session->Execute("INSERT INTO t VALUES (" + std::to_string(i) + ")")
             .ok());
   }
-  sql::SqlNode* dead = conn->node;
+  const uint64_t dead = conn->node->id();
 
   // Kill the SQL node out from under the connection, mid-workload.
   cluster_->KillSqlNode(dead);
-  EXPECT_EQ(dead->state(), sql::SqlNode::State::kStopped);
+  EXPECT_EQ(conn->node, nullptr) << "failure listener must drop the freed node";
   EXPECT_EQ(conn->session, nullptr) << "failure listener must invalidate sessions";
 
   // The next execute transparently fails over to a healthy node; every
@@ -287,7 +401,8 @@ TEST_F(ServerlessTest, NodeDeathFailsOverWithoutLosingAckedWrites) {
   auto rs = cluster_->ExecuteSync(conn, "SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0].int_value(), 10);
-  EXPECT_NE(conn->node, dead);
+  ASSERT_NE(conn->node, nullptr);
+  EXPECT_NE(conn->node->id(), dead);
   EXPECT_EQ(conn->node->state(), sql::SqlNode::State::kReady);
   ASSERT_NE(conn->session, nullptr);
 
@@ -308,7 +423,7 @@ TEST_F(ServerlessTest, NodeDeathFailsOverWithoutLosingAckedWrites) {
 TEST_F(ServerlessTest, NonIdempotentRetriesOnlyWhenNodeNeverSawTheRequest) {
   auto conn = *cluster_->ConnectSync(tenant_);
   ASSERT_TRUE(conn->session->Execute("CREATE TABLE t (id INT PRIMARY KEY)").ok());
-  cluster_->KillSqlNode(conn->node);
+  cluster_->KillSqlNode(conn->node->id());
   // The node died before this statement was ever attempted, so replaying it
   // cannot double-apply — failover proceeds even for non-idempotent work.
   auto rs = cluster_->ExecuteSync(conn, "INSERT INTO t VALUES (1)",
@@ -368,7 +483,7 @@ TEST_F(ServerlessTest, EmptyRetryBudgetFailsFast) {
   auto conn = *cluster.ConnectSync(meta.id);
   ASSERT_TRUE(conn->session->Execute("CREATE TABLE t (id INT PRIMARY KEY)").ok());
 
-  cluster.KillSqlNode(conn->node);
+  cluster.KillSqlNode(conn->node->id());
   auto rs = cluster.ExecuteSync(conn, "SELECT COUNT(*) FROM t");
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), Code::kResourceExhausted);
@@ -394,7 +509,7 @@ TEST_F(ServerlessTest, DeadSessionCannotBeMigrated) {
   cluster_->pool()->Acquire(tenant_, [&](StatusOr<sql::SqlNode*> n) { target = *n; });
   cluster_->loop()->Run();
   ASSERT_NE(target, nullptr);
-  cluster_->KillSqlNode(conn->node);
+  cluster_->KillSqlNode(conn->node->id());
   EXPECT_EQ(cluster_->proxy()->MigrateConnection(conn, target).code(),
             Code::kUnavailable);
 }

@@ -771,9 +771,6 @@ TEST_F(SqlEndToEndTest, SqlNodeLifecycle) {
   ASSERT_TRUE(node.NewSession().ok());
   node.StartDraining();
   EXPECT_EQ(node.state(), SqlNode::State::kDraining);
-  node.Stop();
-  EXPECT_EQ(node.state(), SqlNode::State::kStopped);
-  EXPECT_EQ(node.num_sessions(), 0u);
 }
 
 TEST_F(SqlEndToEndTest, CompositePrimaryKey) {
